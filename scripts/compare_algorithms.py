@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the three solvers on a seeded random corpus.
+"""Benchmark the four solvers on a seeded random corpus.
 
     python3 scripts/compare_algorithms.py --count 500 --max 200 --arity 5 --seed 42
 
@@ -17,6 +17,7 @@ from frobenius import (
     frobenius_oracle,
     frobenius_sequential,
     random_bases,
+    residue_table,
 )
 
 
@@ -32,6 +33,7 @@ def main() -> int:
         random_bases(args.seed, args.count, max_element=args.max, max_arity=args.arity)
     )
     solvers = {
+        "residue": lambda b: residue_table(b).frobenius,
         "descent": lambda b: frobenius_descent(b).value,
         "sequential": lambda b: frobenius_sequential(b).value,
         "oracle": frobenius_oracle,
@@ -43,14 +45,13 @@ def main() -> int:
         print(f"{name:<11} {time.perf_counter() - t0:7.2f}s for {len(bases)} bases")
 
     disagreements = [
-        (b.elements, d, s, o)
-        for b, d, s, o in zip(
-            bases, answers["descent"], answers["sequential"], answers["oracle"]
-        )
-        if not d == s == o
+        (b.elements, row)
+        for b, row in zip(bases, zip(*answers.values()))
+        if len(set(row)) > 1
     ]
-    for elements, d, s, o in disagreements:
-        print(f"DISAGREE {list(elements)}: descent={d} sequential={s} oracle={o}")
+    for elements, row in disagreements:
+        found = " ".join(f"{name}={value}" for name, value in zip(answers, row))
+        print(f"DISAGREE {list(elements)}: {found}")
     print(f"{len(bases) - len(disagreements)}/{len(bases)} agree")
     return 0 if not disagreements else 2
 

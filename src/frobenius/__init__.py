@@ -1,16 +1,18 @@
 """Exact Frobenius numbers for coprime integer bases.
 
-Three independent ways to the same answer: a descending scan driven by a
-recursive membership test, a bit-packed sieve table, and a floor-function
-indicator form whose telescoping sum picks out the largest gap.  Closed
-forms cover two-generator, arithmetic-progression, and Fibonacci-triple
-bases, and four classical upper bounds are provided with their vacuity
-conditions.  All arithmetic is exact (int and fractions.Fraction); the
-only approximate quantity anywhere is the square root inside one bound,
-replaced by a one-sided rational approximation.
+Four independent ways to the same answer: shortest paths over residues
+mod the smallest generator (the default), the paper's descending scan
+driven by a recursive membership test, a bit-packed sieve table, and a
+floor-function indicator form whose telescoping sum picks out the
+largest gap.  Closed forms cover two-generator, arithmetic-progression,
+and Fibonacci-triple bases, and four classical upper bounds are provided
+with their vacuity conditions.  All arithmetic is exact (int and
+fractions.Fraction); the only approximate quantity anywhere is the
+square root inside one bound, replaced by a one-sided rational
+approximation.
 """
 
-from .basis import Basis, RepresentationWitness, gcd_all, normalize_basis
+from .basis import Basis, RepresentationWitness, gcd_all, normalize_basis, scan_upper_bound
 from .bounds import (
     BOUND_NAMES,
     BoundReport,
@@ -46,12 +48,12 @@ from .oracle import (
     frobenius_oracle,
     gaps,
     is_independent,
-    scan_upper_bound,
     sieve,
 )
 from .randgen import LCG_INCREMENT, LCG_MULTIPLIER, Lcg, random_bases, random_basis
 from .reference import REFERENCE_CASES
 from .representability import find_witness, has_rep, has_rep_two
+from .residue import RESIDUE_CAP, ResidueTable, residue_table
 from .sequential import (
     SequentialTrace,
     delta,
@@ -91,8 +93,10 @@ __all__ = [
     "NonCoprimeError",
     "OutOfEnvelopeError",
     "REFERENCE_CASES",
+    "RESIDUE_CAP",
     "RepresentabilityTable",
     "RepresentationWitness",
+    "ResidueTable",
     "ResourceLimitError",
     "SequentialTrace",
     "beck_vacuous",
@@ -127,6 +131,7 @@ __all__ = [
     "normalize_basis",
     "random_bases",
     "random_basis",
+    "residue_table",
     "scan_upper_bound",
     "selmer_vacuous",
     "sequential_trace",

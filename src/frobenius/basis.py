@@ -4,7 +4,9 @@ A basis is a strictly increasing tuple of at least two positive integers
 with overall gcd 1.  Under that condition the numerical semigroup
 {sum(k_i * a_i) : k_i >= 0} has a finite complement, so the Frobenius
 number is well defined.  If 1 is an element, everything is representable
-and the conventional answer is -1.
+and the conventional answer is -1.  scan_upper_bound gives Brauer's
+telescoping bound above which everything is representable; every solver
+and table in the package is sized or budgeted by it.
 
 Both dataclasses here are frozen: instances are immutable, hashable, and
 safe to share across threads.
@@ -72,6 +74,29 @@ def normalize_basis(raw: Iterable[int]) -> Basis:
     Idempotent: normalizing a basis's own elements returns an equal Basis.
     """
     return Basis(tuple(sorted(set(raw))))
+
+
+def scan_upper_bound(basis: Basis) -> int:
+    """Brauer's telescoping bound: every integer above it is representable.
+
+    With d_i = gcd of the first i generators, the bound is
+    sum(a_i * d_{i-1} // d_i for i >= 2) - sum(a_i).  Each generator can
+    only shrink the running gcd, and once it reaches 1 the remaining
+    ratios are 1, so for a coprime leading pair this collapses to the
+    familiar a1*a2 - a1 - a2.  Unlike that two-generator product, it
+    stays valid when a prefix of the basis shares a common factor.
+    Returns -1 when 1 is a generator (every positive integer reachable).
+    """
+    es = basis.elements
+    d = es[0]
+    total = es[0]
+    bound = 0
+    for a in es[1:]:
+        nd = gcd(d, a)
+        bound += a * (d // nd)
+        total += a
+        d = nd
+    return bound - total
 
 
 @dataclass(frozen=True)

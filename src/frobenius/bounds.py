@@ -22,7 +22,12 @@ hold; none is sharp in general.
   deflates the product (e.g. {23, 46, 269}: bound ~4735, answer 5895).
 
 chain_bounds tracks the answer itself along basis prefixes: each prefix
-adds a generator, so the sequence never increases.
+adds a generator, so the sequence never increases.  The chain and the
+independence behind both vacuity flags come from one residue table
+(residue module).  bound_report builds that table once; when the table is
+refused as too large, the report still carries the four bounds, with no
+chain (None) and selmer and beck flagged vacuous, since independence is
+then unknown.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .basis import Basis, gcd_all
-from .errors import ArityError
-from .oracle import frobenius_oracle, is_independent
+from .basis import Basis
+from .errors import ArityError, ResourceLimitError
+from .oracle import is_independent
+from .residue import ResidueTable, residue_table
 
 BOUND_NAMES = ("erdos-graham", "selmer", "vitek", "beck")
 
@@ -89,23 +95,16 @@ def chain_bounds(basis: Basis) -> tuple[int | None, ...]:
     later entry is defined, and the defined entries never increase; the
     last one is the answer for the full basis.
     """
-    es = basis.elements
-    out: list[int | None] = []
-    for k in range(2, len(es) + 1):
-        prefix = es[:k]
-        if prefix[0] == 1:
-            out.append(-1)
-        elif gcd_all(prefix) != 1:
-            out.append(None)
-        else:
-            out.append(frobenius_oracle(Basis(prefix)))
-    return tuple(out)
+    return residue_table(basis).chain
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """All four bounds, their vacuity flags, the prefix chain, and which
-    non-vacuous bound is tightest (ties broken in BOUND_NAMES order)."""
+    non-vacuous bound is tightest (ties broken in BOUND_NAMES order).
+
+    chain is None when the residue table it comes from is over its cap.
+    """
 
     basis: Basis
     erdos_graham: int
@@ -115,7 +114,7 @@ class BoundReport:
     vitek_vacuous: bool
     beck: Fraction | None
     beck_vacuous: bool
-    chain: tuple[int | None, ...]
+    chain: tuple[int | None, ...] | None
     tightest: str
 
 
@@ -124,8 +123,14 @@ def bound_report(basis: Basis) -> BoundReport:
     sel = bound_selmer(basis)
     vit = bound_vitek(basis)
     vit_vac = basis.n < 3
-    # Both selmer and beck go vacuous on dependent systems; sieve once.
-    indep = is_independent(basis)
+    # Both selmer and beck go vacuous on dependent systems, and on systems
+    # whose independence is unknown; one table serves both and the chain.
+    table: ResidueTable | None
+    try:
+        table = residue_table(basis)
+    except ResourceLimitError:
+        table = None
+    indep = table is not None and table.independent
     sel_vac = basis.elements[0] // basis.n == 0 or not indep
     beck: Fraction | None = None
     beck_vac = basis.n < 3 or not indep
@@ -148,6 +153,6 @@ def bound_report(basis: Basis) -> BoundReport:
         vitek_vacuous=vit_vac,
         beck=beck,
         beck_vacuous=beck_vac,
-        chain=chain_bounds(basis),
+        chain=None if table is None else table.chain,
         tightest=tight,
     )

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands:
-    compute   Frobenius number of one basis
+    compute   Frobenius number of one basis (--algorithm residue|paper|oracle|sequential)
     verify    cross-check three algorithms on seeded random bases
     table1    recompute the bundled reference instances
     bounds    classical upper bounds and the prefix chain
@@ -20,6 +20,7 @@ commas; everything after # on a line is a comment.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -219,7 +220,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                     "vitek_vacuous": report.vitek_vacuous,
                     "beck": None if report.beck is None else _fraction_str(report.beck),
                     "beck_vacuous": report.beck_vacuous,
-                    "chain": list(report.chain),
+                    "chain": None if report.chain is None else list(report.chain),
                     "tightest": report.tightest,
                 }
             )
@@ -237,7 +238,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             f"beck          ~{float(report.beck):.6f}"
             f" (rational upper approximation){flag(report.beck_vacuous)}"
         )
-    print("chain         " + " ".join("-" if c is None else str(c) for c in report.chain))
+    if report.chain is None:
+        chain = "-"  # the residue table was over its cap
+    else:
+        chain = " ".join("-" if c is None else str(c) for c in report.chain)
+    print(f"chain         {chain}")
     print(f"tightest      {report.tightest}")
     return 0
 
@@ -287,7 +292,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every main() call."""
     parser = _Parser(prog="frobenius", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -295,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_element_args(p)
     p.add_argument(
         "--algorithm",
-        choices=("paper", "oracle", "sequential"),
-        default="paper",
-        help="descent scan (paper, default), sieve table, or indicator scan",
+        choices=("residue", "paper", "oracle", "sequential"),
+        default="residue",
+        help="residue table (default), the paper's descent scan, sieve table, or indicator scan",
     )
     p.add_argument("--check", action="store_true", help="cross-check against the sieve")
     p.add_argument("--json", action="store_true")

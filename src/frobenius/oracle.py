@@ -3,24 +3,29 @@
 The sieve marks every representable integer in [0, limit] by repeated
 shifted-OR over a Python bigint: adding generator a maps bit i to bit
 i + a, and doubling the shift amount closes the set under any multiple
-of a in O(log limit) bigint operations per generator.  Nothing here is
-shared with the descent solver or the floor-function form, so agreement
-between them is meaningful evidence.
+of a in O(log limit) bigint operations per generator.  The sieve shares
+nothing with the residue table, the descent solver or the floor-function
+form, so agreement between them is meaningful evidence.
 
-Table sizes are capped by Brauer's telescoping bound (scan_upper_bound
-below): every integer above it is representable, so a table that long
-suffices to read off the Frobenius number and the full gap set.
+Table sizes are capped by Brauer's telescoping bound (scan_upper_bound in
+the basis module): every integer above it is representable, so a table
+that long suffices to read off the Frobenius number and the full gap set.
+
+is_independent lives here for its callers' sake but reads the residue
+table (residue module), which costs O(n * a1) instead of one sieve per
+generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
-from .basis import Basis
+from .basis import Basis, scan_upper_bound
 from .errors import InvalidInputError, ResourceLimitError
+from .residue import residue_table
 
-# A table this size is ~125 MB of bits; anything larger is a mistake, not a query.
+# A table this size is ~125 MB of bits; anything larger is a mistake, not a
+# query.  The descent and sequential scans are held to the same bound.
 DEFAULT_LIMIT_CAP = 10**9
 
 
@@ -65,29 +70,6 @@ def sieve(basis: Basis, limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> Re
     return RepresentabilityTable(limit=limit, bits=bits)
 
 
-def scan_upper_bound(basis: Basis) -> int:
-    """Brauer's telescoping bound: every integer above it is representable.
-
-    With d_i = gcd of the first i generators, the bound is
-    sum(a_i * d_{i-1} // d_i for i >= 2) - sum(a_i).  Each generator can
-    only shrink the running gcd, and once it reaches 1 the remaining
-    ratios are 1, so for a coprime leading pair this collapses to the
-    familiar a1*a2 - a1 - a2.  Unlike that two-generator product, it
-    stays valid when a prefix of the basis shares a common factor.
-    Returns -1 when 1 is a generator (every positive integer reachable).
-    """
-    es = basis.elements
-    d = es[0]
-    total = es[0]
-    bound = 0
-    for a in es[1:]:
-        nd = gcd(d, a)
-        bound += a * (d // nd)
-        total += a
-        d = nd
-    return bound - total
-
-
 def frobenius_oracle(basis: Basis, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> int:
     """Largest non-representable integer, straight from the sieve table.
 
@@ -109,32 +91,11 @@ def gaps(basis: Basis, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> tuple[int, ...]
     return sieve(basis, upper, limit_cap=limit_cap).gaps()
 
 
-def is_independent(basis: Basis, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> bool:
+def is_independent(basis: Basis) -> bool:
     """True iff no element is representable over the remaining elements.
 
     A dependent (redundant) generator never changes the Frobenius number,
-    but some classical bounds silently assume it isn't there.
+    but some classical bounds silently assume it isn't there.  Read off the
+    residue table, so it is bounded by that table's cap, not the sieve's.
     """
-    es = basis.elements
-    if es[-1] > limit_cap:
-        raise ResourceLimitError(f"largest element {es[-1]} exceeds cap {limit_cap}")
-    for i, e in enumerate(es):
-        others = es[:i] + es[i + 1 :]
-        if len(others) < 2:
-            # Two-element bases: dependence would mean one divides the other,
-            # impossible with gcd 1 and both > 1 unless the smaller is 1.
-            if any(e % o == 0 for o in others):
-                return False
-            continue
-        mask = (1 << (e + 1)) - 1
-        bits = 1
-        for a in others:
-            if a > e:
-                continue
-            step = a
-            while step <= e:
-                bits |= (bits << step) & mask
-                step <<= 1
-        if bits >> e & 1:
-            return False
-    return True
+    return residue_table(basis).independent

@@ -32,9 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .basis import Basis
+from .basis import Basis, scan_upper_bound
 from .errors import InvalidInputError
-from .oracle import scan_upper_bound
 from .representability import has_rep_two
 
 ZeroMemo = dict[tuple[int, int], bool]

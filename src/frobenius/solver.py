@@ -1,12 +1,22 @@
 """Frobenius number solvers and the algorithm dispatcher.
 
-frobenius_descent scans candidates downward from scan_upper_bound (the
-telescoping gcd bound, a1*a2 - a1 - a2 when the two smallest generators
-are coprime) and returns the first target the membership test rejects.
-If the whole scan range [a1 + 1, bound] is representable, the answer is
-a1 - 1: integers in [1, a1 - 1] are never representable (too small), and
-representability of a1 + 1 .. a1 + a1 extends upward by adding copies
-of a1.
+Four solvers give the same answer by different means:
+
+- "residue" (the default) reads it off the residue table (residue
+  module): O(n * a1), independent of the scan bound;
+- "paper" is the paper's descent: frobenius_descent scans candidates
+  downward from scan_upper_bound (the telescoping gcd bound, a1*a2 - a1 -
+  a2 when the two smallest generators are coprime) and returns the first
+  target the membership test rejects.  If the whole scan range
+  [a1 + 1, bound] is representable, the answer is a1 - 1: integers in
+  [1, a1 - 1] are never representable (too small), and representability
+  of a1 + 1 .. a1 + a1 extends upward by adding copies of a1;
+- "oracle" reads the highest gap off the sieve table (oracle module);
+- "sequential" is the floor-function indicator scan (sequential module).
+
+Descent and sequential scan up to scan_upper_bound candidates, so they
+refuse (ResourceLimitError) a bound above the sieve's DEFAULT_LIMIT_CAP:
+one cap governs all three methods that work through [1, U].
 
 frobenius() picks the algorithm and wraps the answer in a FrobeniusResult.
 Two-element bases short-circuit to the closed form a1*a2 - a1 - a2, and a
@@ -17,13 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basis import Basis
-from .errors import InvalidInputError
-from .oracle import frobenius_oracle, scan_upper_bound
+from .basis import Basis, scan_upper_bound
+from .errors import InvalidInputError, ResourceLimitError
+from .oracle import DEFAULT_LIMIT_CAP, frobenius_oracle
 from .representability import Memo, has_rep
+from .residue import residue_table
 from .sequential import delta_scan
 
-ALGORITHM_TAGS = ("paper-descent", "oracle", "sequential", "closed-form")
+ALGORITHM_TAGS = ("residue", "paper-descent", "oracle", "sequential", "closed-form")
 
 
 @dataclass(frozen=True)
@@ -32,7 +43,9 @@ class FrobeniusResult:
 
     value is -1 exactly when 1 is a generator; otherwise it is the largest
     integer with no nonnegative representation.  candidates_scanned counts
-    membership queries the algorithm spent (0 for closed forms).
+    the candidates a scanning solver tested ("paper-descent", "sequential");
+    it is 0 for the residue table, the sieve and closed forms, which scan
+    nothing.
     """
 
     value: int
@@ -53,13 +66,21 @@ class FrobeniusResult:
             raise InvalidInputError(f"unknown algorithm tag {self.algorithm!r}")
 
 
+def _scan_bound(basis: Basis) -> int:
+    """scan_upper_bound, refused above DEFAULT_LIMIT_CAP candidates."""
+    upper = scan_upper_bound(basis)
+    if upper > DEFAULT_LIMIT_CAP:
+        raise ResourceLimitError(f"scan bound {upper} exceeds cap {DEFAULT_LIMIT_CAP}")
+    return upper
+
+
 def frobenius_descent(basis: Basis, *, shared_memo: bool = True) -> FrobeniusResult:
     """Downward scan from scan_upper_bound using the membership test.
 
     shared_memo reuses membership subproblems across candidates; turning it
     off reverts to an independent test per candidate (same answers, slower).
     """
-    upper = scan_upper_bound(basis)
+    upper = _scan_bound(basis)
     if upper < 1:
         return FrobeniusResult(-1, upper, 0, "paper-descent")
     a1 = basis.elements[0]
@@ -74,29 +95,31 @@ def frobenius_descent(basis: Basis, *, shared_memo: bool = True) -> FrobeniusRes
 
 def frobenius_sequential(basis: Basis) -> FrobeniusResult:
     """Solve via the floor-function indicator scan (see the sequential module)."""
-    upper = scan_upper_bound(basis)
+    upper = _scan_bound(basis)
     if upper < 1:
         return FrobeniusResult(-1, upper, 0, "sequential")
     value, scanned = delta_scan(basis)
     return FrobeniusResult(value, upper, scanned, "sequential")
 
 
-def frobenius(basis: Basis, algorithm: str = "paper") -> FrobeniusResult:
+def frobenius(basis: Basis, algorithm: str = "residue") -> FrobeniusResult:
     """Frobenius number of a valid basis, by the named algorithm.
 
-    algorithm is one of "paper" (descent scan, the default), "oracle"
-    (sieve table), or "sequential" (floor-function indicator scan).
+    algorithm is one of "residue" (residue table, the default), "paper"
+    (descent scan), "oracle" (sieve table), or "sequential"
+    (floor-function indicator scan).
     """
-    if algorithm not in ("paper", "oracle", "sequential"):
+    if algorithm not in ("residue", "paper", "oracle", "sequential"):
         raise InvalidInputError(f"unknown algorithm {algorithm!r}")
     if basis.contains_one:
         return FrobeniusResult(-1, -1, 0, "closed-form")
     upper = scan_upper_bound(basis)
     if basis.n == 2:
         return FrobeniusResult(upper, upper, 0, "closed-form")
+    if algorithm == "residue":
+        return FrobeniusResult(residue_table(basis).frobenius, upper, 0, "residue")
     if algorithm == "oracle":
-        value = frobenius_oracle(basis)
-        return FrobeniusResult(value, upper, upper - value + 1, "oracle")
+        return FrobeniusResult(frobenius_oracle(basis), upper, 0, "oracle")
     if algorithm == "sequential":
         return frobenius_sequential(basis)
     return frobenius_descent(basis)

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from frobenius.cli import main, parse_int_stream
+from frobenius import RESIDUE_CAP
+from frobenius.cli import build_parser, main, parse_int_stream
 from frobenius.solver import FrobeniusResult
 
 
@@ -39,13 +40,17 @@ def test_compute_json_record(capsys):
     rec = json.loads(out)
     assert rec["basis"] == [7, 11, 13]
     assert rec["result"] == 30
-    assert rec["algorithm"] == "paper-descent"
+    assert rec["algorithm"] == "residue"
     assert rec["verified_against_oracle"] is True
     assert isinstance(rec["elapsed_ms"], (int, float)) and rec["elapsed_ms"] >= 0
 
 
 def test_compute_algorithm_choices(capsys):
-    for algo, tag in [("oracle", "oracle"), ("sequential", "sequential")]:
+    for algo, tag in [
+        ("paper", "paper-descent"),
+        ("oracle", "oracle"),
+        ("sequential", "sequential"),
+    ]:
         code, out, _ = run_cli(
             ["compute", "7", "11", "13", "--algorithm", algo, "--json"], capsys
         )
@@ -53,6 +58,24 @@ def test_compute_algorithm_choices(capsys):
         rec = json.loads(out)
         assert rec["result"] == 30
         assert rec["algorithm"] == tag
+
+
+def test_compute_large_triple_by_default(capsys):
+    # 2001060054 is the value of an independent residue-table implementation
+    # (perfbench/reference.py); the sieve and the scans cannot reach it.
+    code, out, _ = run_cli(["compute", "100003", "100019", "100043"], capsys)
+    assert code == 0
+    assert out.strip() == "2001060054"
+
+
+@pytest.mark.parametrize("algo", ["paper", "sequential"])
+def test_compute_scan_over_budget_exits_1(algo, capsys):
+    code, out, err = run_cli(
+        ["compute", "--algorithm", algo, "100003", "100019", "100043"], capsys
+    )
+    assert code == 1
+    assert err.startswith("error:") and "exceeds cap" in err
+    assert out == ""
 
 
 def test_compute_two_generator_closed_form(capsys):
@@ -158,6 +181,43 @@ def test_bounds_json_undefined_chain_prefix(capsys):
     code, out, _ = run_cli(["bounds", "4", "6", "9", "--json"], capsys)
     assert code == 0
     assert json.loads(out)["chain"] == [None, 11]
+
+
+def test_bounds_large_triple_has_a_chain(capsys):
+    code, out, _ = run_cli(["bounds", "100003", "100019", "100043", "--json"], capsys)
+    assert code == 0
+    # frobenius_two(100003, 100019), then the value pinned in
+    # test_compute_large_triple_by_default.
+    assert json.loads(out)["chain"] == [10002000035, 2001060054]
+
+
+def test_bounds_over_the_table_cap_still_reports(capsys):
+    es = [str(RESIDUE_CAP + i) for i in (1, 2, 3)]
+    code, out, _ = run_cli(["bounds", *es, "--json"], capsys)
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["chain"] is None
+    assert rec["selmer_vacuous"] is True and rec["beck_vacuous"] is True
+    assert rec["tightest"] in ("erdos-graham", "vitek")
+    code, out, _ = run_cli(["bounds", *es], capsys)
+    assert code == 0
+    assert "chain         -\n" in out
+
+
+def test_main_reuses_one_parser_without_carrying_state(capsys):
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli(["compute", "7", "11", "13", "--algorithm", "oracle", "--json"], capsys)
+    assert code == 0 and json.loads(out)["algorithm"] == "oracle"
+    code, out, _ = run_cli(["compute", "7", "11", "13", "--json"], capsys)
+    assert code == 0 and json.loads(out)["algorithm"] == "residue"
+    code, out, _ = run_cli(["compute", "7", "11", "13"], capsys)
+    assert (code, out) == (0, "30\n")
+    code, _, err = run_cli(["compute", "7", "11", "--bogus"], capsys)
+    assert code == 1 and "error" in err
+    code, out, _ = run_cli(["hasrep", "31", "7", "11", "13"], capsys)
+    assert (code, out.splitlines()[0]) == (0, "true")
+    code, out, _ = run_cli(["bounds", "7", "11", "13"], capsys)
+    assert code == 0 and "chain         59 30" in out
 
 
 def test_hasrep_true_with_witness(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from frobenius import (
     FrobeniusResult,
     InvalidInputError,
+    ResourceLimitError,
     frobenius,
     frobenius_descent,
     frobenius_oracle,
@@ -59,6 +60,24 @@ def test_result_fields():
     assert r.upper_bound_used == 59
     assert r.candidates_scanned == 59 - 30 + 1
     assert r.algorithm == "paper-descent"
+
+
+def test_table_solvers_scan_nothing():
+    b = normalize_basis([7, 11, 13])
+    for algo, tag in (("residue", "residue"), ("oracle", "oracle")):
+        r = frobenius(b, algo)
+        assert (r.value, r.algorithm, r.candidates_scanned) == (30, tag, 0)
+    assert frobenius(b).algorithm == "residue"  # the default
+
+
+def test_scans_refuse_a_bound_over_the_cap(monkeypatch):
+    b = normalize_basis([7, 11, 13])  # scan bound 59
+    monkeypatch.setattr("frobenius.solver.DEFAULT_LIMIT_CAP", 59)
+    assert frobenius_descent(b).value == frobenius_sequential(b).value == 30
+    monkeypatch.setattr("frobenius.solver.DEFAULT_LIMIT_CAP", 58)
+    for solve in (frobenius_descent, frobenius_sequential):
+        with pytest.raises(ResourceLimitError):
+            solve(b)
 
 
 def test_dispatcher_short_circuits():
@@ -119,7 +138,7 @@ def test_memo_sharing_flag_is_answer_neutral(basis):
 @settings(max_examples=60, deadline=None)
 @given(small_bases())
 def test_result_value_within_its_bound(basis):
-    for algo in ("paper", "oracle", "sequential"):
+    for algo in ("residue", "paper", "oracle", "sequential"):
         r = frobenius(basis, algo)
         assert -1 <= r.value <= r.upper_bound_used
         assert r.candidates_scanned >= 0
