@@ -1,11 +1,13 @@
 """Exact Frobenius numbers for coprime integer bases.
 
 Four independent ways to the same answer: shortest paths over residues
-mod the smallest generator (the default), the paper's descending scan
-driven by a recursive membership test, a bit-packed sieve table, and a
-floor-function indicator form whose telescoping sum picks out the
-largest gap.  Closed forms cover two-generator, arithmetic-progression,
-and Fibonacci-triple bases, and four classical upper bounds are provided
+mod the smallest generator (the default; three generators take Rødseth's
+formula over the same residues, with no size cap), the paper's
+descending scan driven by a recursive membership test, a bit-packed
+sieve table, and a floor-function indicator form whose telescoping sum
+picks out the largest gap.  Closed forms cover two-generator,
+three-generator, arithmetic-progression, and Fibonacci-triple bases,
+and four classical upper bounds are provided
 with their vacuity conditions.  All arithmetic is exact (int and
 fractions.Fraction); the only approximate quantity anywhere is the
 square root inside one bound, replaced by a one-sided rational
@@ -31,6 +33,7 @@ from .closed_forms import (
     fibonacci_triple_elements,
     frobenius_arithmetic,
     frobenius_fibonacci_triple,
+    frobenius_three,
     frobenius_two,
 )
 from .errors import (
@@ -55,6 +58,7 @@ from .reference import REFERENCE_CASES
 from .representability import find_witness, has_rep, has_rep_two
 from .residue import RESIDUE_CAP, ResidueTable, residue_table
 from .sequential import (
+    TRACE_CAP,
     SequentialTrace,
     delta,
     delta_scan,
@@ -99,6 +103,7 @@ __all__ = [
     "ResidueTable",
     "ResourceLimitError",
     "SequentialTrace",
+    "TRACE_CAP",
     "beck_vacuous",
     "bound_beck",
     "bound_erdos_graham",
@@ -118,6 +123,7 @@ __all__ = [
     "frobenius_fibonacci_triple",
     "frobenius_oracle",
     "frobenius_sequential",
+    "frobenius_three",
     "frobenius_two",
     "gaps",
     "gcd_all",

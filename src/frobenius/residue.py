@@ -1,4 +1,4 @@
-"""Shortest paths over residues mod a1: the default solver's core.
+"""Shortest paths over residues mod a1: the default solver's core for n >= 4.
 
 For a basis a1 < a2 < ... < an, w[r] is the smallest representable
 number congruent to r mod a1 (Nijenhuis, "A minimal-path algorithm for

@@ -33,10 +33,19 @@ from fractions import Fraction
 from math import floor
 
 from .basis import Basis, scan_upper_bound
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .representability import has_rep_two
 
 ZeroMemo = dict[tuple[int, int], bool]
+
+TRACE_CAP = 2**17
+"""Largest scan bound U that sequential_trace tabulates: 131072 entries.
+
+The deltas tuple takes 8 bytes per entry (1 MiB at the cap); the h-zero
+memo behind it took about 130-200 bytes more per entry on three to five
+generators (16 MiB and 2.2 s at U = 96719, for {311, 313, 317}).  The
+time grows faster than U: 13.5 s and 145 MiB at U = 1050599.
+"""
 
 
 def f_indicator(alpha: int, R: int) -> int:
@@ -218,14 +227,17 @@ class SequentialTrace:
 def sequential_trace(basis: Basis, *, include_h_values: bool = False) -> SequentialTrace:
     """Tabulate every delta in [1, upper] and evaluate the sum literally.
 
-    include_h_values also records the exact h of every index; fine for
-    small bases, combinatorially expensive for large non-representable
-    indices at higher arities.
+    A scan bound above TRACE_CAP is refused (ResourceLimitError) before
+    anything is tabulated.  include_h_values also records the exact h of
+    every index; fine for small bases, combinatorially expensive for
+    large non-representable indices at higher arities.
     """
     upper = scan_upper_bound(basis)
     if upper < 1:
         # 1 is a generator: nothing is non-representable.
         return SequentialTrace(upper=-1, deltas=(), result=-1)
+    if upper > TRACE_CAP:
+        raise ResourceLimitError(f"trace of {upper} entries exceeds cap {TRACE_CAP} entries")
     memo: ZeroMemo = {}
     deltas = tuple(0 if h_is_zero(i, basis, memo) else 1 for i in range(1, upper + 1))
     total = 0

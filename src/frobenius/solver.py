@@ -2,8 +2,11 @@
 
 Four solvers give the same answer by different means:
 
-- "residue" (the default) reads it off the residue table (residue
-  module): O(n * a1), independent of the scan bound;
+- "residue" (the default) works over residues mod a1: for three
+  generators by Rødseth's formula (closed_forms.frobenius_three), in
+  O(log a1) steps with no size cap; otherwise it reads the answer off
+  the residue table (residue module), O(n * a1) and independent of the
+  scan bound;
 - "paper" is the paper's descent: frobenius_descent scans candidates
   downward from scan_upper_bound (the telescoping gcd bound, a1*a2 - a1 -
   a2 when the two smallest generators are coprime) and returns the first
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .basis import Basis, scan_upper_bound
+from .closed_forms import frobenius_three
 from .errors import InvalidInputError, ResourceLimitError
 from .oracle import DEFAULT_LIMIT_CAP, frobenius_oracle
 from .representability import Memo, has_rep
@@ -74,21 +78,20 @@ def _scan_bound(basis: Basis) -> int:
     return upper
 
 
-def frobenius_descent(basis: Basis, *, shared_memo: bool = True) -> FrobeniusResult:
+def frobenius_descent(basis: Basis) -> FrobeniusResult:
     """Downward scan from scan_upper_bound using the membership test.
 
-    shared_memo reuses membership subproblems across candidates; turning it
-    off reverts to an independent test per candidate (same answers, slower).
+    One membership memo is shared by every candidate of the scan.
     """
     upper = _scan_bound(basis)
     if upper < 1:
         return FrobeniusResult(-1, upper, 0, "paper-descent")
     a1 = basis.elements[0]
-    memo: Memo | None = {} if shared_memo else None
+    memo: Memo = {}
     scanned = 0
     for a in range(upper, a1, -1):
         scanned += 1
-        if not has_rep(a, basis, memo if shared_memo else {}):
+        if not has_rep(a, basis, memo):
             return FrobeniusResult(a, upper, scanned, "paper-descent")
     return FrobeniusResult(a1 - 1, upper, scanned, "paper-descent")
 
@@ -105,7 +108,8 @@ def frobenius_sequential(basis: Basis) -> FrobeniusResult:
 def frobenius(basis: Basis, algorithm: str = "residue") -> FrobeniusResult:
     """Frobenius number of a valid basis, by the named algorithm.
 
-    algorithm is one of "residue" (residue table, the default), "paper"
+    algorithm is one of "residue" (Rødseth's formula for three
+    generators, else the residue table; the default), "paper"
     (descent scan), "oracle" (sieve table), or "sequential"
     (floor-function indicator scan).
     """
@@ -117,6 +121,8 @@ def frobenius(basis: Basis, algorithm: str = "residue") -> FrobeniusResult:
     if basis.n == 2:
         return FrobeniusResult(upper, upper, 0, "closed-form")
     if algorithm == "residue":
+        if basis.n == 3:
+            return FrobeniusResult(frobenius_three(*basis.elements), upper, 0, "residue")
         return FrobeniusResult(residue_table(basis).frobenius, upper, 0, "residue")
     if algorithm == "oracle":
         return FrobeniusResult(frobenius_oracle(basis), upper, 0, "oracle")

@@ -68,6 +68,14 @@ def test_compute_large_triple_by_default(capsys):
     assert out.strip() == "2001060054"
 
 
+def test_compute_triple_past_the_table_cap(capsys):
+    # Confirmed once against residue_table (13 s, outside this suite); the
+    # default path takes Rødseth's formula and needs no table.
+    code, out, _ = run_cli(["compute", "16777213", "16777259", "16777289"], capsys)
+    assert code == 0
+    assert out.strip() == "7407844184026"
+
+
 @pytest.mark.parametrize("algo", ["paper", "sequential"])
 def test_compute_scan_over_budget_exits_1(algo, capsys):
     code, out, err = run_cli(
@@ -137,6 +145,24 @@ def test_verify_disagreement_exits_2(capsys, monkeypatch):
     code, out, _ = run_cli(["verify", "--count", "1", "--seed", "3"], capsys)
     assert code == 2
     assert "DISAGREE" in out
+
+
+def test_verify_and_table1_check_the_default_solver(capsys, monkeypatch):
+    def wrong(basis, algorithm="residue"):
+        return FrobeniusResult(0, 10**9, 0, "residue")
+
+    monkeypatch.setattr("frobenius.cli.frobenius", wrong)
+    code, out, _ = run_cli(["verify", "--count", "1", "--seed", "3", "--json"], capsys)
+    assert code == 2
+    row = json.loads(out.splitlines()[0])
+    assert row["residue"] == 0 and row["agree"] is False
+    assert row["descent"] == row["sequential"] == row["oracle"] > 0
+    code, out, _ = run_cli(["verify", "--count", "1", "--seed", "3"], capsys)
+    assert code == 2 and "residue=0" in out
+    code, out, _ = run_cli(["table1", "--json"], capsys)
+    assert code == 2
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert all(r["status"] == "disagreement" and r["residue"] == 0 for r in rows)
 
 
 def test_compute_check_disagreement_exits_2(capsys, monkeypatch):
@@ -258,6 +284,13 @@ def test_trace_json(capsys):
     code, out, _ = run_cli(["trace", "3", "5", "--json"], capsys)
     rec = json.loads(out)
     assert rec == {"basis": [3, 5], "upper": 7, "deltas": [1, 1, 0, 1, 0, 0, 1], "result": 7}
+
+
+def test_trace_over_the_cap_exits_1(capsys):
+    code, out, err = run_cli(["trace", "100003", "100019", "100043"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "exceeds cap" in err
+    assert out == ""
 
 
 def test_parse_int_stream():

@@ -94,9 +94,13 @@ def test_arithmetic_progressions_beyond_the_sieve(a, d, k):
 
 def test_refuses_a_table_over_the_entry_cap(monkeypatch):
     basis = Basis((RESIDUE_CAP + 1, RESIDUE_CAP + 2, RESIDUE_CAP + 3))
-    for call in (residue_table, chain_bounds, is_independent, frobenius):
+    for call in (residue_table, chain_bounds, is_independent):
         with pytest.raises(ResourceLimitError):
             call(basis)
+    # A triple needs no table: frobenius() takes Rødseth's formula.
+    assert frobenius(basis).value == frobenius_arithmetic(RESIDUE_CAP + 1, 1, 2)
+    with pytest.raises(ResourceLimitError):
+        frobenius(Basis(tuple(RESIDUE_CAP + i for i in range(1, 5))))
     monkeypatch.setattr("frobenius.residue.RESIDUE_CAP", 7)
     assert residue_table(Basis((7, 11, 13))).frobenius == 30  # a1 at the cap
     with pytest.raises(ResourceLimitError):

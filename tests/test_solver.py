@@ -126,15 +126,6 @@ def test_adding_a_generator_never_increases_the_answer(basis, extra):
     assert frobenius_oracle(bigger) <= frobenius_oracle(basis)
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_bases(max_element=30, max_arity=3))
-def test_memo_sharing_flag_is_answer_neutral(basis):
-    assert (
-        frobenius_descent(basis, shared_memo=True).value
-        == frobenius_descent(basis, shared_memo=False).value
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(small_bases())
 def test_result_value_within_its_bound(basis):
