@@ -3,7 +3,7 @@
 Four independent ways to the same answer: shortest paths over residues
 mod the smallest generator (the default; three generators take Rødseth's
 formula over the same residues, with no size cap), the paper's
-descending scan driven by a recursive membership test, a bit-packed
+descending scan driven by a membership search, a bit-packed
 sieve table, and a floor-function indicator form whose telescoping sum
 picks out the largest gap.  Closed forms cover two-generator,
 three-generator, arithmetic-progression, and Fibonacci-triple bases,
@@ -50,13 +50,12 @@ from .oracle import (
     RepresentabilityTable,
     frobenius_oracle,
     gaps,
-    is_independent,
     sieve,
 )
 from .randgen import LCG_INCREMENT, LCG_MULTIPLIER, Lcg, random_bases, random_basis
 from .reference import REFERENCE_CASES
 from .representability import find_witness, has_rep, has_rep_two
-from .residue import RESIDUE_CAP, ResidueTable, residue_table
+from .residue import RESIDUE_CAP, ResidueTable, is_independent, residue_table
 from .sequential import (
     TRACE_CAP,
     SequentialTrace,

@@ -38,8 +38,7 @@ from math import isqrt
 
 from .basis import Basis
 from .errors import ArityError, ResourceLimitError
-from .oracle import is_independent
-from .residue import ResidueTable, residue_table
+from .residue import ResidueTable, is_independent, residue_table
 
 BOUND_NAMES = ("erdos-graham", "selmer", "vitek", "beck")
 

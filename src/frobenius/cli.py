@@ -31,7 +31,7 @@ from .errors import FrobeniusError, InvalidInputError
 from .oracle import frobenius_oracle
 from .randgen import Lcg, random_basis
 from .reference import REFERENCE_CASES
-from .representability import find_witness, has_rep
+from .representability import find_witness
 from .sequential import sequential_trace
 from .solver import frobenius, frobenius_descent, frobenius_sequential
 
@@ -250,8 +250,8 @@ def cmd_hasrep(args: argparse.Namespace) -> int:
     basis = _gather_basis(args)
     if args.target < 0:
         raise InvalidInputError(f"target must be nonnegative, got {args.target}")
-    representable = has_rep(args.target, basis)
-    witness = find_witness(args.target, basis) if representable else None
+    witness = find_witness(args.target, basis)
+    representable = witness is not None
     if args.json:
         print(
             json.dumps(

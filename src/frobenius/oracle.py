@@ -10,10 +10,6 @@ form, so agreement between them is meaningful evidence.
 Table sizes are capped by Brauer's telescoping bound (scan_upper_bound in
 the basis module): every integer above it is representable, so a table
 that long suffices to read off the Frobenius number and the full gap set.
-
-is_independent lives here for its callers' sake but reads the residue
-table (residue module), which costs O(n * a1) instead of one sieve per
-generator.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from dataclasses import dataclass
 
 from .basis import Basis, scan_upper_bound
 from .errors import InvalidInputError, ResourceLimitError
-from .residue import residue_table
+from .residue import is_independent  # noqa: F401  (still importable from here)
 
 # A table this size is ~125 MB of bits; anything larger is a mistake, not a
 # query.  The descent and sequential scans are held to the same bound.
@@ -41,9 +37,13 @@ class RepresentabilityTable:
             raise InvalidInputError(f"target {a} outside table range [0, {self.limit}]")
         return bool(self.bits >> a & 1)
 
+    def holes(self) -> int:
+        """Bit mask of the non-representable integers in the table."""
+        return ~self.bits & ((1 << (self.limit + 1)) - 1)
+
     def gaps(self) -> tuple[int, ...]:
         """All non-representable integers in the table, ascending."""
-        hole = ~self.bits & ((1 << (self.limit + 1)) - 1)
+        hole = self.holes()
         out = []
         while hole:
             low = hole & -hole
@@ -78,9 +78,7 @@ def frobenius_oracle(basis: Basis, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> int
     upper = scan_upper_bound(basis)
     if upper < 1:
         return -1
-    table = sieve(basis, upper, limit_cap=limit_cap)
-    hole = ~table.bits & ((1 << (upper + 1)) - 1)
-    return hole.bit_length() - 1  # highest zero bit; -1 if none
+    return sieve(basis, upper, limit_cap=limit_cap).holes().bit_length() - 1
 
 
 def gaps(basis: Basis, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> tuple[int, ...]:
@@ -90,12 +88,3 @@ def gaps(basis: Basis, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> tuple[int, ...]
         return ()
     return sieve(basis, upper, limit_cap=limit_cap).gaps()
 
-
-def is_independent(basis: Basis) -> bool:
-    """True iff no element is representable over the remaining elements.
-
-    A dependent (redundant) generator never changes the Frobenius number,
-    but some classical bounds silently assume it isn't there.  Read off the
-    residue table, so it is bounded by that table's cap, not the sieve's.
-    """
-    return residue_table(basis).independent

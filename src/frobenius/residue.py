@@ -89,6 +89,16 @@ def residue_table(basis: Basis) -> ResidueTable:
     return ResidueTable(tuple(chain), tuple(redundant))
 
 
+def is_independent(basis: Basis) -> bool:
+    """True iff no element is representable over the remaining elements.
+
+    A dependent (redundant) generator never changes the Frobenius number,
+    but some classical bounds silently assume it isn't there.  Read off the
+    residue table, so it is bounded by that table's cap.
+    """
+    return residue_table(basis).independent
+
+
 def _insert(w: array, a: int) -> None:
     """Round-robin update of w for one more generator a.
 

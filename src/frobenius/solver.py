@@ -34,7 +34,7 @@ from .basis import Basis, scan_upper_bound
 from .closed_forms import frobenius_three
 from .errors import InvalidInputError, ResourceLimitError
 from .oracle import DEFAULT_LIMIT_CAP, frobenius_oracle
-from .representability import Memo, has_rep
+from .representability import Memo, _searcher
 from .residue import residue_table
 from .sequential import delta_scan
 
@@ -81,17 +81,19 @@ def _scan_bound(basis: Basis) -> int:
 def frobenius_descent(basis: Basis) -> FrobeniusResult:
     """Downward scan from scan_upper_bound using the membership test.
 
-    One membership memo is shared by every candidate of the scan.
+    One membership search (representability module), with its per-basis
+    data and its memo, serves every candidate of the scan.
     """
     upper = _scan_bound(basis)
     if upper < 1:
         return FrobeniusResult(-1, upper, 0, "paper-descent")
     a1 = basis.elements[0]
+    search = _searcher(basis)
     memo: Memo = {}
     scanned = 0
     for a in range(upper, a1, -1):
         scanned += 1
-        if not has_rep(a, basis, memo):
+        if search(a, memo) is None:
             return FrobeniusResult(a, upper, scanned, "paper-descent")
     return FrobeniusResult(a1 - 1, upper, scanned, "paper-descent")
 

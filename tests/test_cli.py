@@ -274,6 +274,29 @@ def test_hasrep_witness_coefficients_check_out(capsys):
     assert rec["representable"] is False and rec["witness"] is None
 
 
+def test_hasrep_on_more_generators_than_the_recursion_limit(capsys):
+    # 1300 generators: the search runs once per level without recursing.
+    elements = list(range(1000, 2300))
+    assert len(elements) > sys.getrecursionlimit()
+    code, out, err = run_cli(["hasrep", "--json", "5000", *map(str, elements)], capsys)
+    assert (code, err) == (0, "")
+    rec = json.loads(out)
+    assert rec["representable"] is True
+    witness = rec["witness"]
+    assert len(witness) == len(elements) and min(witness) >= 0
+    assert sum(c * e for c, e in zip(witness, elements)) == 5000
+
+
+def test_hasrep_over_the_search_budget_exits_1(capsys):
+    # Three elements near 10**15 and a 30-digit target: about 10**14 copies
+    # of the largest element to strip, refused after SEARCH_CAP steps.
+    argv = ["hasrep", "666666666666665666666666666666",
+            "1000000000000003", "1000000000000004", "2000000000000005"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "membership search" in err
+
+
 def test_trace_plain(capsys):
     code, out, _ = run_cli(["trace", "3", "5"], capsys)
     assert code == 0

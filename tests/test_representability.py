@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 
 from frobenius import (
     InvalidInputError,
+    ResourceLimitError,
     find_witness,
     gcd_all,
     has_rep,
     has_rep_two,
     normalize_basis,
+    scan_upper_bound,
+    sieve,
 )
 
-from conftest import brute_representable
+from conftest import brute_representable, reachable_sums
 
 
 @st.composite
@@ -26,6 +29,24 @@ def small_bases(draw, max_element=30, max_arity=4):
     raw = draw(st.sets(st.integers(2, max_element), min_size=n, max_size=n))
     assume(gcd_all(raw) == 1)
     return normalize_basis(raw)
+
+
+@st.composite
+def shared_factor_bases(draw):
+    """Multiples of 6, 10 and 15 plus one more element, so that prefixes
+    of the sorted basis share factors (gcd chains like 6, 2, 1)."""
+    raw = set(draw(st.lists(
+        st.sampled_from((6, 10, 15)).flatmap(lambda f: st.integers(1, 5).map(lambda k: f * k)),
+        min_size=1, max_size=4,
+    )))
+    raw.add(draw(st.integers(2, 40)))
+    assume(len(raw) >= 2 and gcd_all(raw) == 1)
+    return normalize_basis(raw)
+
+
+# The 8-generator basis of the hasrep benchmark: its first four elements
+# share the factor 3.
+MID_BASIS = (519, 534, 624, 633, 716, 724, 737, 881)
 
 
 def test_smallest_element_is_representable():
@@ -97,19 +118,64 @@ def test_shared_memo_gives_same_answers(basis):
 @given(small_bases(), st.integers(0, 150))
 def test_witness_exists_exactly_when_representable(basis, a):
     w = find_witness(a, basis)
-    if has_rep(a, basis):
+    if brute_representable(a, basis.elements):
         assert w is not None
         assert w.target == a  # constructor already checked the sum
     else:
         assert w is None
 
 
+@settings(max_examples=200)
+@given(shared_factor_bases(), st.integers(0, 200))
+def test_shared_factor_prefixes_match_exhaustive_enumeration(basis, a):
+    expected = brute_representable(a, basis.elements)
+    assert has_rep(a, basis) == expected
+    assert (find_witness(a, basis) is not None) == expected
+
+
+@settings(max_examples=100)
+@given(st.one_of(small_bases(), shared_factor_bases()), st.integers(0, 150))
+def test_witness_takes_the_smallest_count_from_the_top(basis, a):
+    # Each coefficient, from the largest element down, is the smallest
+    # count that leaves a remainder the shorter prefix can still reach.
+    w = find_witness(a, basis)
+    assume(w is not None)
+    es = basis.elements
+    rest = a
+    for j in range(len(es) - 1, 1, -1):
+        for k in range(w.coefficients[j]):
+            assert not brute_representable(rest - k * es[j], es[:j])
+        rest -= w.coefficients[j] * es[j]
+
+
+def test_witnesses_against_reachable_sums():
+    for raw in ([7, 11, 13], [6, 10, 15], [12, 18, 20, 27], [4, 81, 104]):
+        basis = normalize_basis(raw)
+        limit = scan_upper_bound(basis) + basis.elements[0]
+        reached = reachable_sums(basis.elements, limit)
+        for a in range(limit + 1):
+            assert (find_witness(a, basis) is not None) == (a in reached), (raw, a)
+
+
 def test_witness_spot_value():
     b = normalize_basis([7, 11, 13])
-    w = find_witness(31, b)
-    assert w is not None
-    assert sum(c * e for c, e in zip(w.coefficients, b.elements)) == 31
+    assert find_witness(31, b).coefficients == (1, 1, 1)
     assert find_witness(30, b) is None
+
+
+def test_eight_generator_basis_matches_the_sieve():
+    basis = normalize_basis(MID_BASIS)
+    upper = scan_upper_bound(basis)
+    table = sieve(basis, upper)
+    for a in range(upper + 1):
+        assert (find_witness(a, basis) is not None) == table[a], a
+
+
+def test_search_budget_refuses_with_an_error():
+    basis = normalize_basis([10**15 + 3, 10**15 + 4, 2 * 10**15 + 5])
+    target = 666666666666665666666666666666
+    with pytest.raises(ResourceLimitError):
+        has_rep(target, basis)
 
 
 def test_non_coprime_pair_via_gcd_filter():
