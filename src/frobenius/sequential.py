@@ -23,18 +23,51 @@ largest non-representable i.  delta_scan walks i downward and stops at
 the first delta = 1, which evaluates the same sum without materializing
 it.
 
+The zero test N(delta_i) needs only whether h(i) is 0, read off h's
+factor list.  Write Z(R, j) for "h(R) over the first j elements is 0".
+For j > 2 the factors are h(R) over every shorter prefix j' < j, then
+f(a_j, R), then h(R - i*a_j) over the first j - 1 elements for
+i = 1 .. R//a_j, a remainder of 0 being a zero factor.  Every h(R, j')
+with j' < j - 1 is itself a factor of h(R, j - 1), so Z(R, j - 1) stands
+for all the shorter prefixes:
+
+    Z(R, j) = (a_j divides R)  or  Z(R - i*a_j, j - 1) for some i >= 0
+              with R - i*a_j > 0.
+
+When a_j > R only i = 0 is left, so Z(R, j) = Z(R, j - 1) and the test
+drops straight to the longest prefix whose top is at most R.  The pair's
+Z is h_two's own zero condition, b1 | R - m*b2 for some m <= R//b2: with
+g = gcd(b1, b2), the smallest such m is (R/g) * (b2/g)^-1 mod (b1/g), and
+it must satisfy m*b2 <= R.  g, b1/g, b2/g and that inverse are computed
+once per basis.  The test is one depth-first walk with an explicit stack,
+so a basis of any length needs no recursion; a memo of (R, j) answers,
+both zero and nonzero, is shared across a scan.  It is derived apart from
+the representability module on purpose: the two agreeing is a check.
+
+Every zero test is budgeted: more than SEARCH_CAP steps (remainders
+handed to a shorter prefix, the pair's tests included) raise
+ResourceLimitError.  The largest counts per test measured are far below
+it: 250 in the delta scans of the verify corpus (--count 500 --max 200
+--arity 5 --seed 42), 663 in those of the table1 rows (the 49-generator
+row), and 1188 for R = 7777 over the 1300 generators 1000..2299.  A test
+it refuses, such as R = 666666666666665666666666666666 over
+{10**15 + 3, 10**15 + 4, 2*10**15 + 5}, would otherwise try about 3*10**14
+remainders.
+
 All arithmetic is int / fractions.Fraction; floats never appear.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, gcd
+from typing import Callable
 
 from .basis import Basis, scan_upper_bound
 from .errors import InvalidInputError, ResourceLimitError
-from .representability import has_rep_two
+from .representability import SEARCH_CAP
 
 ZeroMemo = dict[tuple[int, int], bool]
 
@@ -42,9 +75,12 @@ TRACE_CAP = 2**17
 """Largest scan bound U that sequential_trace tabulates: 131072 entries.
 
 The deltas tuple takes 8 bytes per entry (1 MiB at the cap); the h-zero
-memo behind it took about 130-200 bytes more per entry on three to five
-generators (16 MiB and 2.2 s at U = 96719, for {311, 313, 317}).  The
-time grows faster than U: 13.5 s and 145 MiB at U = 1050599.
+memo behind it took 130-160 bytes more per entry on three generators and
+about 400 on five, where it also holds answers for shorter prefixes
+(15.4 MiB and 0.5 s at U = 96719 for {311, 313, 317}, 13.2 MiB and
+0.12 s at U = 33673 for {150, 227, 301, 317, 331}).  Past the cap, U =
+1050599 ({1021, 1031, 1033}) took 3.0-3.4 s and 136 MiB (Python 3.11,
+one core of an x86-64 server).
 """
 
 
@@ -138,37 +174,89 @@ def _h_value(R: int, elements: tuple[int, ...]) -> Fraction:
 def h_is_zero(R: int, basis: Basis, memo: ZeroMemo | None = None) -> bool:
     """Whether h_general(R, basis) == 0, without building the product.
 
-    Follows the factor structure of h exactly: some factor is 0 iff the
-    two-element base case hits a divisible remainder.  Pass a shared memo
-    dict to reuse work across many R for the same basis.
+    Follows the factor list of h (see the module docstring).  Pass a
+    shared memo dict to reuse work across many R for the same basis (keys
+    are (R, prefix length)).  Raises ResourceLimitError past SEARCH_CAP
+    steps.
     """
     if R < 1:
         raise InvalidInputError(f"R must be positive, got {R}")
-    if memo is None:
-        memo = {}
-    return _h_zero(R, basis.elements, len(basis.elements), memo)
+    return _zero_test(basis)(R, {} if memo is None else memo)
 
 
-def _h_zero(R: int, elements: tuple[int, ...], j: int, memo: ZeroMemo) -> bool:
-    if j == 2:
-        # h_two is 0 iff b1 | (R - m*b2) for some m in [0, R//b2].
-        return has_rep_two(R, elements[0], elements[1])
-    key = (R, j)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    result = any(_h_zero(R, elements, jp, memo) for jp in range(2, j))
-    top = elements[j - 1]
-    if not result and R % top == 0:
-        result = True
-    if not result:
-        for i in range(1, R // top + 1):
-            rem = R - i * top
-            if rem == 0 or _h_zero(rem, elements, j - 1, memo):
-                result = True
-                break
-    memo[key] = result
-    return result
+def _zero_test(basis: Basis) -> Callable[[int, ZeroMemo], bool]:
+    """Z(R, n) over basis, with the pair's data computed once.
+
+    The returned function maps (R, memo), R >= 1, to whether h(R) is 0.
+    delta_scan and sequential_trace build one per scan.
+    """
+    es = basis.elements
+    n = len(es)
+    g = gcd(es[0], es[1])
+    b1, b2 = es[0] // g, es[1] // g
+    inv_b2 = pow(b2, -1, b1)
+
+    def zero(R: int, memo: ZeroMemo) -> bool:
+        steps = 0
+        stack: list[list[int]] = []  # [x, j, current remainder] of the open levels >= 4
+        x, j = R, n
+        while True:
+            # Decide Z(x, j), x >= 1, first dropping the levels whose top exceeds x.
+            j = bisect_right(es, x, 0, j)
+            if j < 3:
+                found = x % g == 0 and x // g * inv_b2 % b1 * b2 <= x // g
+            else:
+                found = memo.get((x, j))
+                if found is None:
+                    top = es[j - 1]
+                    if x % top == 0:
+                        found = True
+                    elif j > 3:
+                        steps += 1
+                        if steps > SEARCH_CAP:
+                            raise _over_budget(R)
+                        stack.append([x, j, x])
+                        j -= 1
+                        continue
+                    else:
+                        # The pair's zero test on each remainder x - i*a_3 > 0.
+                        found = False
+                        rest = x
+                        while rest > 0:
+                            steps += 1
+                            if steps > SEARCH_CAP:
+                                raise _over_budget(R)
+                            if rest % g == 0:
+                                y = rest // g
+                                if y * inv_b2 % b1 * b2 <= y:
+                                    found = True
+                                    break
+                            rest -= top
+                    memo[x, j] = found
+            # Hand the answer to the open levels: a zero closes every one of
+            # them, a nonzero moves the deepest to its next remainder.
+            while stack:
+                frame = stack[-1]
+                fx, fj, frest = frame
+                if not found:
+                    frest -= es[fj - 1]
+                    if frest > 0:
+                        steps += 1
+                        if steps > SEARCH_CAP:
+                            raise _over_budget(R)
+                        frame[2] = frest
+                        x, j = frest, fj - 1
+                        break
+                memo[fx, fj] = found
+                stack.pop()
+            else:
+                return found
+
+    return zero
+
+
+def _over_budget(R: int) -> ResourceLimitError:
+    return ResourceLimitError(f"zero test of h({R}) exceeds {SEARCH_CAP} steps")
 
 
 def delta(i: int, basis: Basis, memo: ZeroMemo | None = None) -> int:
@@ -192,9 +280,10 @@ def delta_scan(basis: Basis) -> tuple[int, int]:
     upper = scan_upper_bound(basis)
     if upper < 1:
         raise InvalidInputError("basis contains 1; no index has delta = 1")
+    zero = _zero_test(basis)
     memo: ZeroMemo = {}
     for i in range(upper, 0, -1):
-        if not h_is_zero(i, basis, memo):
+        if not zero(i, memo):
             return i, upper - i + 1
     raise RuntimeError("unreachable: 1 is never representable when all elements exceed 1")
 
@@ -238,8 +327,9 @@ def sequential_trace(basis: Basis, *, include_h_values: bool = False) -> Sequent
         return SequentialTrace(upper=-1, deltas=(), result=-1)
     if upper > TRACE_CAP:
         raise ResourceLimitError(f"trace of {upper} entries exceeds cap {TRACE_CAP} entries")
+    zero = _zero_test(basis)
     memo: ZeroMemo = {}
-    deltas = tuple(0 if h_is_zero(i, basis, memo) else 1 for i in range(1, upper + 1))
+    deltas = tuple(0 if zero(i, memo) else 1 for i in range(1, upper + 1))
     total = 0
     guard = 1  # product of N(delta_j) over j > i, maintained while descending
     for i in range(upper, 0, -1):

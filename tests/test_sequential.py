@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import floor
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from frobenius import (
     InvalidInputError,
+    ResourceLimitError,
     SequentialTrace,
     delta,
     delta_scan,
@@ -28,12 +30,27 @@ from frobenius import (
     sieve,
 )
 
+from conftest import brute_representable
+
 
 @st.composite
 def small_bases(draw, max_element=30, max_arity=4):
     n = draw(st.integers(2, max_arity))
     raw = draw(st.sets(st.integers(2, max_element), min_size=n, max_size=n))
     assume(gcd_all(raw) == 1)
+    return normalize_basis(raw)
+
+
+@st.composite
+def shared_factor_bases(draw):
+    """Multiples of 6, 10 and 15, the sum of two of them (a redundant
+    element) and one more element, so that pairs share factors."""
+    raw = draw(st.lists(
+        st.sampled_from((6, 10, 15)).flatmap(lambda f: st.integers(1, 4).map(lambda k: f * k)),
+        min_size=2, max_size=3,
+    ))
+    raw += [raw[0] + raw[1], draw(st.integers(2, 40))]
+    assume(len(set(raw)) >= 2 and gcd_all(raw) == 1)
     return normalize_basis(raw)
 
 
@@ -130,6 +147,38 @@ def test_h_general_two_element_case_is_h_two():
 @given(small_bases(), st.integers(1, 120))
 def test_zero_test_matches_membership(basis, R):
     assert h_is_zero(R, basis) == has_rep(R, basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_bases(), shared_factor_bases()), st.integers(1, 150))
+def test_zero_test_matches_exhaustive_enumeration(basis, R):
+    assert h_is_zero(R, basis) == brute_representable(R, basis.elements)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_bases(), shared_factor_bases()))
+def test_zero_test_shared_memo_gives_same_answers(basis):
+    memo = {}
+    fresh = [h_is_zero(R, basis) for R in range(1, 150)]
+    shared = [h_is_zero(R, basis, memo) for R in range(149, 0, -1)]
+    assert fresh == shared[::-1]
+
+
+def test_zero_test_on_more_generators_than_the_recursion_limit():
+    basis = normalize_basis(range(1000, 2300))
+    t0 = perf_counter()
+    assert h_is_zero(7777, basis)  # 7 * 1111
+    assert not h_is_zero(999, basis)  # below every element
+    assert perf_counter() - t0 < 0.5
+
+
+def test_zero_test_budget_refuses_promptly():
+    # About 3 * 10**14 remainders to try at the top level.
+    basis = normalize_basis([10**15 + 3, 10**15 + 4, 2 * 10**15 + 5])
+    t0 = perf_counter()
+    with pytest.raises(ResourceLimitError):
+        h_is_zero(666666666666665666666666666666, basis)
+    assert perf_counter() - t0 < 5.0
 
 
 def test_delta_polarity_and_range():
