@@ -44,6 +44,23 @@ so a basis of any length needs no recursion; a memo of (R, j) answers,
 both zero and nonzero, is shared across a scan.  It is derived apart from
 the representability module on purpose: the two agreeing is a check.
 
+The scans settle most indices without a test, by residue class mod a1.
+The pair's condition, b1 | y - m*b2 with y = x/g and m*b2 <= y, keeps the
+same m when y drops by multiples of b1, so it holds at x - k*a1 for every
+k <= (y - m*b2)/b1, the slack.  Every remainder on the path from R down
+to that pair remainder drops by the same k*a1 and stays >= 0 (a remainder
+of 0 being a zero factor), so Z(R - k*a1) holds for the same k.  The
+zero test returns that slack, or -1 when h is nonzero; a zero reached
+through a_j | x or through a memo hit reports slack 0, which proves only
+R itself.  delta_scan keeps, per residue class mod a1, the least index
+proved zero (a floor, in a dict with at most one entry per test, never
+an a1-long list) and tests only the indices below their class's floor.
+Read upward, Z(i) gives Z(i + a1): add b1 to the pair's y with the same
+m, and when Z(i) came from a_j | x, the remainder 0 becomes a1, which
+the pair takes with m = 0.  So sequential_trace, which ascends, keeps
+the residues that have had a zero and settles every later index in
+them without a test.
+
 Every zero test is budgeted: more than SEARCH_CAP steps (remainders
 handed to a shorter prefix, the pair's tests included) raise
 ResourceLimitError.  The largest counts per test measured are far below
@@ -74,13 +91,16 @@ ZeroMemo = dict[tuple[int, int], bool]
 TRACE_CAP = 2**17
 """Largest scan bound U that sequential_trace tabulates: 131072 entries.
 
-The deltas tuple takes 8 bytes per entry (1 MiB at the cap); the h-zero
-memo behind it took 130-160 bytes more per entry on three generators and
-about 400 on five, where it also holds answers for shorter prefixes
-(15.4 MiB and 0.5 s at U = 96719 for {311, 313, 317}, 13.2 MiB and
-0.12 s at U = 33673 for {150, 227, 301, 317, 331}).  Past the cap, U =
-1050599 ({1021, 1031, 1033}) took 3.0-3.4 s and 136 MiB (Python 3.11,
-one core of an x86-64 server).
+The deltas take 8 bytes per entry (1 MiB at the cap), once as the list
+they are built in and once as the tuple kept.  The h-zero memo behind
+them holds the indices actually tested, each gap and the first zero of
+each residue class mod a1, plus answers for shorter prefixes on more
+generators.  Peak traced memory and time were 3.4 MiB and 0.23 s at
+U = 96719 for {311, 313, 317}, and 0.8 MiB and 0.03 s at U = 33673 for
+{150, 227, 301, 317, 331}.  Each gap costs one full failing test, so
+the cost follows the gaps more than U: past the cap, U = 1050599
+({1021, 1031, 1033}) took 2.2-2.4 s and 28.5 MiB (Python 3.11, one core
+of an x86-64 server).
 """
 
 
@@ -116,19 +136,27 @@ def h_two(R: int, b1: int, b2: int) -> Fraction:
 
     The product runs f(b1, R - i*b2) over i = 0 .. R//b2 - 1, then f(b2, R),
     then the residue term (s//b1)*b1 - s with s = R mod b2, which covers
-    stripping the maximal number of b2's.
+    stripping the maximal number of b2's.  More than SEARCH_CAP f terms
+    raise ResourceLimitError.
     """
     if R < 1:
         raise InvalidInputError(f"R must be positive, got {R}")
     if not 0 < b1 < b2:
         raise InvalidInputError(f"need 0 < b1 < b2, got {b1}, {b2}")
+    if R // b2 >= SEARCH_CAP:
+        raise ResourceLimitError(f"h({R}) exceeds {SEARCH_CAP} steps")
+    return Fraction(_h_two_product(R, b1, b2))
+
+
+def _h_two_product(R: int, b1: int, b2: int) -> int:
+    # Every factor of h is an integer, so h_general multiplies ints and
+    # makes one Fraction at the end.
     q, s = divmod(R, b2)
     prod = 1
     for i in range(q):
         prod *= f_indicator(b1, R - i * b2)
     prod *= f_indicator(b2, R)
-    prod *= (s // b1) * b1 - s
-    return Fraction(prod)
+    return prod * ((s // b1) * b1 - s)
 
 
 def h_general(R: int, basis: Basis) -> Fraction:
@@ -139,36 +167,44 @@ def h_general(R: int, basis: Basis) -> Fraction:
     remainder R - i*a_n.  A remainder of exactly 0 contributes a zero
     factor (0 is the empty sum, always representable).  Beware: for
     non-representable R the magnitude grows combinatorially with n and R;
-    use h_is_zero when only representability is wanted.
+    use h_is_zero when only representability is wanted.  Each sub-product
+    is one step, and each f term of a pair's product one more; past
+    SEARCH_CAP steps it raises ResourceLimitError (about 2**n sub-products
+    for an R below every element).
     """
     if R < 1:
         raise InvalidInputError(f"R must be positive, got {R}")
-    return _h_value(R, basis.elements)
+    steps = 0
 
-
-def _h_value(R: int, elements: tuple[int, ...]) -> Fraction:
-    # A zero factor zeroes the whole product; every factor is finite, so
-    # returning early never changes the exact value.
-    if len(elements) == 2:
-        return h_two(R, elements[0], elements[1])
-    prod = Fraction(1)
-    for j in range(2, len(elements)):
-        prod *= _h_value(R, elements[:j])
+    def value(x: int, elements: tuple[int, ...]) -> int:
+        # A zero factor zeroes the whole product; every factor is finite, so
+        # returning early never changes the exact value.
+        nonlocal steps
+        steps += 1 + (x // elements[1] if len(elements) == 2 else 0)
+        if steps > SEARCH_CAP:
+            raise ResourceLimitError(f"h({R}) exceeds {SEARCH_CAP} steps")
+        if len(elements) == 2:
+            return _h_two_product(x, elements[0], elements[1])
+        prod = 1
+        for j in range(2, len(elements)):
+            prod *= value(x, elements[:j])
+            if prod == 0:
+                return prod
+        top = elements[-1]
+        prod *= f_indicator(top, x)
         if prod == 0:
             return prod
-    top = elements[-1]
-    prod *= f_indicator(top, R)
-    if prod == 0:
+        shorter = elements[:-1]
+        for i in range(1, x // top + 1):
+            rem = x - i * top
+            if rem == 0:
+                return 0
+            prod *= value(rem, shorter)
+            if prod == 0:
+                return prod
         return prod
-    shorter = elements[:-1]
-    for i in range(1, R // top + 1):
-        rem = R - i * top
-        if rem == 0:
-            return Fraction(0)
-        prod *= _h_value(rem, shorter)
-        if prod == 0:
-            return prod
-    return prod
+
+    return Fraction(value(R, basis.elements))
 
 
 def h_is_zero(R: int, basis: Basis, memo: ZeroMemo | None = None) -> bool:
@@ -181,14 +217,16 @@ def h_is_zero(R: int, basis: Basis, memo: ZeroMemo | None = None) -> bool:
     """
     if R < 1:
         raise InvalidInputError(f"R must be positive, got {R}")
-    return _zero_test(basis)(R, {} if memo is None else memo)
+    return _zero_test(basis)(R, {} if memo is None else memo) >= 0
 
 
-def _zero_test(basis: Basis) -> Callable[[int, ZeroMemo], bool]:
+def _zero_test(basis: Basis) -> Callable[[int, ZeroMemo], int]:
     """Z(R, n) over basis, with the pair's data computed once.
 
-    The returned function maps (R, memo), R >= 1, to whether h(R) is 0.
-    delta_scan and sequential_trace build one per scan.
+    The returned function maps (R, memo), R >= 1, to -1 when h(R) is
+    nonzero, else to a slack s >= 0 such that h(R - k*a1) is 0 for every
+    k <= s (the pair factor's slack; 0 for a zero found through a_j | x
+    or a memo hit).  delta_scan and sequential_trace build one per scan.
     """
     es = basis.elements
     n = len(es)
@@ -196,7 +234,15 @@ def _zero_test(basis: Basis) -> Callable[[int, ZeroMemo], bool]:
     b1, b2 = es[0] // g, es[1] // g
     inv_b2 = pow(b2, -1, b1)
 
-    def zero(R: int, memo: ZeroMemo) -> bool:
+    def pair_slack(x: int) -> int:
+        # b1 | y - m*b2 with m*b2 <= y holds for y - k*b1, k <= (y - m*b2)/b1.
+        if x % g:
+            return -1
+        y = x // g
+        mb2 = y * inv_b2 % b1 * b2
+        return (y - mb2) // b1 if mb2 <= y else -1
+
+    def zero(R: int, memo: ZeroMemo) -> int:
         steps = 0
         stack: list[list[int]] = []  # [x, j, current remainder] of the open levels >= 4
         x, j = R, n
@@ -204,13 +250,15 @@ def _zero_test(basis: Basis) -> Callable[[int, ZeroMemo], bool]:
             # Decide Z(x, j), x >= 1, first dropping the levels whose top exceeds x.
             j = bisect_right(es, x, 0, j)
             if j < 3:
-                found = x % g == 0 and x // g * inv_b2 % b1 * b2 <= x // g
+                slack = pair_slack(x)
             else:
-                found = memo.get((x, j))
-                if found is None:
+                known = memo.get((x, j))
+                if known is not None:
+                    slack = 0 if known else -1
+                else:
                     top = es[j - 1]
                     if x % top == 0:
-                        found = True
+                        slack = 0
                     elif j > 3:
                         steps += 1
                         if steps > SEARCH_CAP:
@@ -220,7 +268,7 @@ def _zero_test(basis: Basis) -> Callable[[int, ZeroMemo], bool]:
                         continue
                     else:
                         # The pair's zero test on each remainder x - i*a_3 > 0.
-                        found = False
+                        slack = -1
                         rest = x
                         while rest > 0:
                             steps += 1
@@ -228,17 +276,18 @@ def _zero_test(basis: Basis) -> Callable[[int, ZeroMemo], bool]:
                                 raise _over_budget(R)
                             if rest % g == 0:
                                 y = rest // g
-                                if y * inv_b2 % b1 * b2 <= y:
-                                    found = True
+                                mb2 = y * inv_b2 % b1 * b2
+                                if mb2 <= y:
+                                    slack = (y - mb2) // b1
                                     break
                             rest -= top
-                    memo[x, j] = found
+                    memo[x, j] = slack >= 0
             # Hand the answer to the open levels: a zero closes every one of
             # them, a nonzero moves the deepest to its next remainder.
             while stack:
                 frame = stack[-1]
                 fx, fj, frest = frame
-                if not found:
+                if slack < 0:
                     frest -= es[fj - 1]
                     if frest > 0:
                         steps += 1
@@ -247,10 +296,10 @@ def _zero_test(basis: Basis) -> Callable[[int, ZeroMemo], bool]:
                         frame[2] = frest
                         x, j = frest, fj - 1
                         break
-                memo[fx, fj] = found
+                memo[fx, fj] = slack >= 0
                 stack.pop()
             else:
-                return found
+                return slack
 
     return zero
 
@@ -280,11 +329,19 @@ def delta_scan(basis: Basis) -> tuple[int, int]:
     upper = scan_upper_bound(basis)
     if upper < 1:
         raise InvalidInputError("basis contains 1; no index has delta = 1")
+    a1 = basis.elements[0]
     zero = _zero_test(basis)
     memo: ZeroMemo = {}
+    floors: dict[int, int] = {}  # residue mod a1 -> least index proved zero
     for i in range(upper, 0, -1):
-        if not zero(i, memo):
+        r = i % a1
+        least = floors.get(r)
+        if least is not None and i >= least:
+            continue
+        slack = zero(i, memo)
+        if slack < 0:
             return i, upper - i + 1
+        floors[r] = i - slack * a1
     raise RuntimeError("unreachable: 1 is never representable when all elements exceed 1")
 
 
@@ -317,9 +374,12 @@ def sequential_trace(basis: Basis, *, include_h_values: bool = False) -> Sequent
     """Tabulate every delta in [1, upper] and evaluate the sum literally.
 
     A scan bound above TRACE_CAP is refused (ResourceLimitError) before
-    anything is tabulated.  include_h_values also records the exact h of
-    every index; fine for small bases, combinatorially expensive for
-    large non-representable indices at higher arities.
+    anything is tabulated.  Ascending, the first zero of each residue
+    class mod a1 settles every later index of that class without a test
+    (see the module docstring).  include_h_values also records the exact
+    h of every index; fine for small bases, combinatorially expensive for
+    large non-representable indices at higher arities, where h_general
+    raises ResourceLimitError past its budget.
     """
     upper = scan_upper_bound(basis)
     if upper < 1:
@@ -327,9 +387,18 @@ def sequential_trace(basis: Basis, *, include_h_values: bool = False) -> Sequent
         return SequentialTrace(upper=-1, deltas=(), result=-1)
     if upper > TRACE_CAP:
         raise ResourceLimitError(f"trace of {upper} entries exceeds cap {TRACE_CAP} entries")
+    a1 = basis.elements[0]
     zero = _zero_test(basis)
     memo: ZeroMemo = {}
-    deltas = tuple(0 if zero(i, memo) else 1 for i in range(1, upper + 1))
+    zero_classes: set[int] = set()  # residues mod a1 with a zero at a smaller index
+    deltas: list[int] = []
+    for i in range(1, upper + 1):
+        r = i % a1
+        if r in zero_classes or zero(i, memo) >= 0:
+            zero_classes.add(r)
+            deltas.append(0)
+        else:
+            deltas.append(1)
     total = 0
     guard = 1  # product of N(delta_j) over j > i, maintained while descending
     for i in range(upper, 0, -1):
@@ -339,4 +408,4 @@ def sequential_trace(basis: Basis, *, include_h_values: bool = False) -> Sequent
     h_values = None
     if include_h_values:
         h_values = tuple(h_general(i, basis) for i in range(1, upper + 1))
-    return SequentialTrace(upper=upper, deltas=deltas, result=total, h_values=h_values)
+    return SequentialTrace(upper=upper, deltas=tuple(deltas), result=total, h_values=h_values)

@@ -13,7 +13,12 @@ Four solvers give the same answer by different means:
   target the membership test rejects.  If the whole scan range
   [a1 + 1, bound] is representable, the answer is a1 - 1: integers in
   [1, a1 - 1] are never representable (too small), and representability
-  of a1 + 1 .. a1 + a1 extends upward by adding copies of a1;
+  of a1 + 1 .. a1 + a1 extends upward by adding copies of a1.  A witness
+  for t with c copies of a1 also proves t - k*a1 for every k <= c, so
+  the scan keeps, per residue class mod a1, the least candidate proved
+  so far (a floor) and searches only the candidates below their class's
+  floor (the residue classes of Nijenhuis's minimal-path table, Amer.
+  Math. Monthly 86, 1979);
 - "oracle" reads the highest gap off the sieve table (oracle module);
 - "sequential" is the floor-function indicator scan (sequential module).
 
@@ -82,7 +87,13 @@ def frobenius_descent(basis: Basis) -> FrobeniusResult:
     """Downward scan from scan_upper_bound using the membership test.
 
     One membership search (representability module), with its per-basis
-    data and its memo, serves every candidate of the scan.
+    data and its memo, serves the scan.  Its witness carries the most
+    copies of a1 given the counts of the larger elements, coeffs[0] = c,
+    so the candidate minus c*a1 is representable too: it becomes the
+    floor of the candidate's residue class mod a1, and every later
+    candidate at or above its class's floor counts as scanned without a
+    search.  The floors are a dict with at most one entry per search,
+    never an a1-long list.
     """
     upper = _scan_bound(basis)
     if upper < 1:
@@ -90,12 +101,17 @@ def frobenius_descent(basis: Basis) -> FrobeniusResult:
     a1 = basis.elements[0]
     search = _searcher(basis)
     memo: Memo = {}
-    scanned = 0
+    floors: dict[int, int] = {}  # residue mod a1 -> least candidate proved representable
     for a in range(upper, a1, -1):
-        scanned += 1
-        if search(a, memo) is None:
-            return FrobeniusResult(a, upper, scanned, "paper-descent")
-    return FrobeniusResult(a1 - 1, upper, scanned, "paper-descent")
+        r = a % a1
+        least = floors.get(r)
+        if least is not None and a >= least:
+            continue
+        coeffs = search(a, memo)
+        if coeffs is None:
+            return FrobeniusResult(a, upper, upper - a + 1, "paper-descent")
+        floors[r] = a - coeffs[0] * a1
+    return FrobeniusResult(a1 - 1, upper, max(upper - a1, 0), "paper-descent")
 
 
 def frobenius_sequential(basis: Basis) -> FrobeniusResult:

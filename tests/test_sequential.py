@@ -17,6 +17,7 @@ from frobenius import (
     delta,
     delta_scan,
     f_indicator,
+    frobenius_descent,
     frobenius_oracle,
     gcd_all,
     h_general,
@@ -26,11 +27,13 @@ from frobenius import (
     has_rep_two,
     n_indicator,
     normalize_basis,
+    random_bases,
+    scan_upper_bound,
     sequential_trace,
     sieve,
 )
 
-from conftest import brute_representable
+from conftest import brute_frobenius, brute_representable
 
 
 @st.composite
@@ -181,6 +184,17 @@ def test_zero_test_budget_refuses_promptly():
     assert perf_counter() - t0 < 5.0
 
 
+def test_h_general_budget_refuses_promptly():
+    # R below all 30 elements: about 2**30 sub-products without a budget.
+    basis = normalize_basis(range(10, 40))
+    t0 = perf_counter()
+    with pytest.raises(ResourceLimitError):
+        h_general(5, basis)
+    assert perf_counter() - t0 < 5.0
+    with pytest.raises(ResourceLimitError):
+        h_two(10**30, 3, 5)
+
+
 def test_delta_polarity_and_range():
     b = normalize_basis([3, 5])
     assert [delta(i, b) for i in range(1, 8)] == [1, 1, 0, 1, 0, 0, 1]
@@ -221,11 +235,43 @@ def test_trace_tiny_and_degenerate_bases():
     assert (tr.upper, tr.deltas, tr.result) == (-1, (), -1)
 
 
-@settings(max_examples=50, deadline=None)
-@given(small_bases(max_element=25, max_arity=3))
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_bases(), shared_factor_bases()))
+def test_both_scans_match_the_brute_oracles(basis):
+    expected = brute_frobenius(basis.elements)
+    descent = frobenius_descent(basis)
+    value, scanned = delta_scan(basis)
+    assert descent.value == value == frobenius_oracle(basis) == expected
+    # The floors settle candidates without a search; every one still counts.
+    if expected > basis.elements[0]:
+        assert descent.candidates_scanned == scanned == scan_upper_bound(basis) - expected + 1
+
+
+def test_both_scans_match_the_sieve_on_a_wide_corpus():
+    # Up to eight generators below 40, where zero tests often end on a
+    # memo hit at an inner level, which proves no slack.
+    for basis in random_bases(1, 2000, max_element=40, max_arity=8):
+        expected = frobenius_oracle(basis)
+        assert frobenius_descent(basis).value == expected, basis
+        assert delta_scan(basis)[0] == expected, basis
+
+
+def test_scans_of_a_large_triple_settle_most_candidates_by_floor():
+    basis = normalize_basis([1021, 1031, 1033])  # 871,887 candidates
+    expected = frobenius_oracle(basis)
+    for scan in (lambda: frobenius_descent(basis).value, lambda: delta_scan(basis)[0]):
+        t0 = perf_counter()
+        assert scan() == expected
+        assert perf_counter() - t0 < 0.8
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_bases(max_element=25, max_arity=3), shared_factor_bases()))
 def test_trace_result_equals_scan_and_oracle(basis):
     tr = sequential_trace(basis)
-    assert tr.result == delta_scan(basis)[0] == frobenius_oracle(basis)
+    table = sieve(basis, tr.upper)
+    assert tr.deltas == tuple(0 if table[i] else 1 for i in range(1, tr.upper + 1))
+    assert tr.result == frobenius_oracle(basis)
     # The literal sum only keeps the largest non-representable index.
     assert tr.deltas[tr.result - 1] == 1
     assert all(d == 0 for d in tr.deltas[tr.result :])

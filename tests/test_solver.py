@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobenius import (
+    REFERENCE_CASES,
+    Basis,
     FrobeniusResult,
     InvalidInputError,
     ResourceLimitError,
@@ -31,6 +33,15 @@ def test_reference_spot_rows():
     assert frobenius_descent(normalize_basis([7, 11, 13])).value == 30
     assert frobenius_descent(normalize_basis([53, 71, 91])).value == 899
     assert frobenius_descent(normalize_basis([151, 157, 251, 711])).value == 3019
+
+
+def test_reference_rows_count_every_scanned_candidate():
+    # upper - value + 1 on every table1 row, for both scans.
+    counts = (30, 2741, 77113, 78967, 20381, 20381, 10374)
+    for (elements, _), count in zip(REFERENCE_CASES, counts, strict=True):
+        basis = Basis(elements)
+        assert frobenius_descent(basis).candidates_scanned == count
+        assert frobenius_sequential(basis).candidates_scanned == count
 
 
 def test_redundant_generator_leaves_answer_alone():
