@@ -1,13 +1,14 @@
 """Exact Frobenius numbers for coprime integer bases.
 
 Four independent ways to the same answer: shortest paths over residues
-mod the smallest generator (the default; three generators take Rødseth's
-formula over the same residues, with no size cap), the paper's
-descending scan driven by a membership search, a bit-packed
-sieve table, and a floor-function indicator form whose telescoping sum
-picks out the largest gap.  Closed forms cover two-generator,
-three-generator, arithmetic-progression, and Fibonacci-triple bases,
-and four classical upper bounds are provided
+mod the smallest generator (three generators take Rødseth's formula over
+the same residues, with no size cap), the paper's descending scan driven
+by a membership search, a bit-packed sieve table grown until it proves
+its answer, and a floor-function indicator form whose telescoping sum
+picks out the largest gap.  By default frobenius() takes the cheaper of
+the sieve and the residue table on four or more generators.  Closed
+forms cover two-generator, three-generator, arithmetic-progression, and
+Fibonacci-triple bases, and four classical upper bounds are provided
 with their vacuity conditions.  All arithmetic is exact (int and
 fractions.Fraction); the only approximate quantity anywhere is the
 square root inside one bound, replaced by a one-sided rational

@@ -30,17 +30,21 @@ count of a_n, then of a_{n-1} given that, and so on down to the pair:
 has_rep and find_witness are the same search.
 
 Every search is budgeted: more than SEARCH_CAP stripping steps (k values
-tried, at any level) raise ResourceLimitError.  See SEARCH_CAP for the
-step counts measured on the package's own inputs.
+tried, at any level) end it.  See SEARCH_CAP for the step counts
+measured on the package's own inputs.  has_rep and find_witness then
+answer from the grown sieve table (oracle module), which is bounded by
+its own bit cap instead: on a wide basis that table is small, since it
+needs only about F + a1 bits.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Callable
+from typing import Callable, Sequence
 
 from .basis import Basis, RepresentationWitness
 from .errors import InvalidInputError, ResourceLimitError
+from .oracle import _sieve_witness
 
 Memo = dict[tuple[int, int], bool]
 
@@ -83,12 +87,12 @@ def has_rep(a: int, basis: Basis, memo: Memo | None = None) -> bool:
     """True iff a is a nonnegative integer combination of the basis elements.
 
     Pass a shared memo dict to reuse the failed subproblems across calls
-    with the same basis (keys are (target, prefix length)).  Raises
-    ResourceLimitError past SEARCH_CAP steps.
+    with the same basis (keys are (target, prefix length)).  Past
+    SEARCH_CAP steps the grown sieve table answers.
     """
     if a < 0:
         raise InvalidInputError(f"target must be nonnegative, got {a}")
-    return _searcher(basis)(a, {} if memo is None else memo) is not None
+    return _coefficients(a, basis, {} if memo is None else memo) is not None
 
 
 def find_witness(a: int, basis: Basis) -> RepresentationWitness | None:
@@ -96,15 +100,26 @@ def find_witness(a: int, basis: Basis) -> RepresentationWitness | None:
 
     The coefficients are the path the membership search ends on: the
     smallest usable count of the largest element, then of the next, and
-    so on down to the last pair.  Raises ResourceLimitError past
-    SEARCH_CAP steps.
+    so on down to the last pair.  Past SEARCH_CAP steps they are read off
+    the grown sieve table instead (oracle._sieve_witness).
     """
     if a < 0:
         raise InvalidInputError(f"target must be nonnegative, got {a}")
-    coeffs = _searcher(basis)(a, {})
+    coeffs = _coefficients(a, basis, {})
     if coeffs is None:
         return None
     return RepresentationWitness(basis=basis, coefficients=tuple(coeffs), target=a)
+
+
+def _coefficients(a: int, basis: Basis, memo: Memo) -> Sequence[int] | None:
+    """The search's witness for a, or the sieve's once the search is over budget."""
+    try:
+        return _searcher(basis)(a, memo)
+    except ResourceLimitError as search_error:
+        try:
+            return _sieve_witness(a, basis)
+        except ResourceLimitError as sieve_error:
+            raise ResourceLimitError(f"{search_error}, and the sieve {sieve_error}") from None
 
 
 def _searcher(basis: Basis) -> Callable[[int, Memo], list[int] | None]:

@@ -2,11 +2,10 @@
 
 Four solvers give the same answer by different means:
 
-- "residue" (the default) works over residues mod a1: for three
-  generators by Rødseth's formula (closed_forms.frobenius_three), in
-  O(log a1) steps with no size cap; otherwise it reads the answer off
-  the residue table (residue module), O(n * a1) and independent of the
-  scan bound;
+- "residue" works over residues mod a1: for three generators by
+  Rødseth's formula (closed_forms.frobenius_three), in O(log a1) steps
+  with no size cap; otherwise it reads the answer off the residue table
+  (residue module), O(n * a1) and independent of the scan bound;
 - "paper" is the paper's descent: frobenius_descent scans candidates
   downward from scan_upper_bound (the telescoping gcd bound, a1*a2 - a1 -
   a2 when the two smallest generators are coprime) and returns the first
@@ -19,16 +18,27 @@ Four solvers give the same answer by different means:
   so far (a floor) and searches only the candidates below their class's
   floor (the residue classes of Nijenhuis's minimal-path table, Amer.
   Math. Monthly 86, 1979);
-- "oracle" reads the highest gap off the sieve table (oracle module);
+- "oracle" reads the highest gap off the grown sieve table (oracle
+  module), which needs about F + a1 bits;
 - "sequential" is the floor-function indicator scan (sequential module).
 
 Descent and sequential scan up to scan_upper_bound candidates, so they
-refuse (ResourceLimitError) a bound above the sieve's DEFAULT_LIMIT_CAP:
-one cap governs all three methods that work through [1, U].
+refuse (ResourceLimitError) a bound above the sieve's DEFAULT_LIMIT_CAP,
+the same cap that bounds the bits of a sieve table.
 
 frobenius() picks the algorithm and wraps the answer in a FrobeniusResult.
 Two-element bases short-circuit to the closed form a1*a2 - a1 - a2, and a
 basis containing 1 short-circuits to -1, whatever algorithm was asked for.
+By default a triple takes Rødseth's formula.  On four or more generators
+the default chooses by cost: the residue table takes about a1 * (n - 1)
+steps of a Python loop, a sieve pass to L bits about L/64 machine words
+per shift at C speed, and _WORDS_PER_TABLE_STEP converts between them.
+The sieve grows while its passes, the next one included, are projected
+to cost less than the table; otherwise the table is built.  So wide
+bases (the table's cost grows with n, the sieve's mostly with F) take
+the sieve, and few large generators, whose F grows like a1^(n/(n-1)),
+take the table.  The result is tagged by what ran: "oracle" for the
+sieve, "residue" for the table.
 """
 
 from __future__ import annotations
@@ -38,12 +48,22 @@ from dataclasses import dataclass
 from .basis import Basis, scan_upper_bound
 from .closed_forms import frobenius_three
 from .errors import InvalidInputError, ResourceLimitError
-from .oracle import DEFAULT_LIMIT_CAP, frobenius_oracle
+from .oracle import DEFAULT_LIMIT_CAP, _grown_table, frobenius_oracle
 from .representability import Memo, _searcher
 from .residue import residue_table
 from .sequential import delta_scan
 
 ALGORITHM_TAGS = ("residue", "paper-descent", "oracle", "sequential", "closed-form")
+
+# Sieve words (oracle._pass_cost) taken to cost as much as one step of the
+# residue table (one residue of one generator's round-robin insertion).
+# Measured (Python 3.11, x86-64 server): 230-330 ns per table step, and
+# 4-7 ns per projected word on sieves of 10^5 bits and up, 9-10 ns on
+# 4096 bits; the ratio ran from 30 to 87, about 60 on large tables.  At
+# 40 the sieve is kept only where it is projected to be clearly cheaper,
+# and the passes run before it is given up cost at most about two thirds
+# of the table's time.
+_WORDS_PER_TABLE_STEP = 40
 
 
 @dataclass(frozen=True)
@@ -123,24 +143,34 @@ def frobenius_sequential(basis: Basis) -> FrobeniusResult:
     return FrobeniusResult(value, upper, scanned, "sequential")
 
 
-def frobenius(basis: Basis, algorithm: str = "residue") -> FrobeniusResult:
+def frobenius(basis: Basis, algorithm: str | None = None) -> FrobeniusResult:
     """Frobenius number of a valid basis, by the named algorithm.
 
     algorithm is one of "residue" (Rødseth's formula for three
-    generators, else the residue table; the default), "paper"
-    (descent scan), "oracle" (sieve table), or "sequential"
-    (floor-function indicator scan).
+    generators, else the residue table), "paper" (descent scan),
+    "oracle" (grown sieve table), or "sequential" (floor-function
+    indicator scan).  The default, None, takes Rødseth's formula for
+    three generators; on four or more it grows the sieve while its
+    projected cost stays below the residue table's, a1 * (n - 1) steps,
+    and builds the table otherwise.  The result's tag says which ran:
+    "oracle" for the sieve, "residue" for the table.
     """
-    if algorithm not in ("residue", "paper", "oracle", "sequential"):
+    if algorithm not in (None, "residue", "paper", "oracle", "sequential"):
         raise InvalidInputError(f"unknown algorithm {algorithm!r}")
     if basis.contains_one:
         return FrobeniusResult(-1, -1, 0, "closed-form")
     upper = scan_upper_bound(basis)
     if basis.n == 2:
         return FrobeniusResult(upper, upper, 0, "closed-form")
-    if algorithm == "residue":
+    if algorithm in (None, "residue"):
         if basis.n == 3:
             return FrobeniusResult(frobenius_three(*basis.elements), upper, 0, "residue")
+        if algorithm is None:
+            budget = basis.elements[0] * (basis.n - 1) * _WORDS_PER_TABLE_STEP
+            table = _grown_table(basis, budget=budget)
+            if table is not None:
+                value = table.holes().bit_length() - 1
+                return FrobeniusResult(value, upper, 0, "oracle")
         return FrobeniusResult(residue_table(basis).frobenius, upper, 0, "residue")
     if algorithm == "oracle":
         return FrobeniusResult(frobenius_oracle(basis), upper, 0, "oracle")

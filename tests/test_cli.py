@@ -8,9 +8,9 @@ import sys
 
 import pytest
 
-from frobenius import RESIDUE_CAP
+from frobenius import RESIDUE_CAP, ResidueTable
 from frobenius.cli import build_parser, main, parse_int_stream
-from frobenius.solver import FrobeniusResult
+from frobenius.solver import FrobeniusResult, frobenius
 
 
 def run_cli(argv, capsys):
@@ -165,6 +165,34 @@ def test_verify_and_table1_check_the_default_solver(capsys, monkeypatch):
     assert all(r["status"] == "disagreement" and r["residue"] == 0 for r in rows)
 
 
+def test_cross_checks_run_the_residue_table_by_name(capsys, monkeypatch):
+    # verify and table1 must not let their "residue" column become a
+    # second copy of the sieve when the default would choose it.
+    asked = []
+
+    def spy(basis, algorithm=None):
+        asked.append(algorithm)
+        return frobenius(basis, algorithm)
+
+    monkeypatch.setattr("frobenius.cli.frobenius", spy)
+    assert run_cli(["verify", "--count", "5", "--seed", "3", "--json"], capsys)[0] == 0
+    assert run_cli(["table1", "--json"], capsys)[0] == 0
+    assert asked and set(asked) == {"residue"}
+
+
+def test_compute_check_of_a_sieve_answer_uses_the_table(capsys, monkeypatch):
+    es = [str(e) for e in range(1000, 1101)]
+    code, out, _ = run_cli(["compute", "--json", "--check", *es], capsys)
+    rec = json.loads(out)
+    assert code == 0 and rec["algorithm"] == "oracle" and rec["verified_against_oracle"]
+    monkeypatch.setattr(
+        "frobenius.solver.residue_table", lambda basis: ResidueTable((-1,), (False,))
+    )
+    code, _, err = run_cli(["compute", "--check", *es], capsys)
+    assert code == 2
+    assert "oracle gave 9999, residue table gave -1" in err
+
+
 def test_compute_check_disagreement_exits_2(capsys, monkeypatch):
     monkeypatch.setattr("frobenius.cli.frobenius_oracle", lambda basis: -1)
     code, _, err = run_cli(["compute", "7", "11", "13", "--check"], capsys)
@@ -285,6 +313,19 @@ def test_hasrep_on_more_generators_than_the_recursion_limit(capsys):
     witness = rec["witness"]
     assert len(witness) == len(elements) and min(witness) >= 0
     assert sum(c * e for c, e in zip(witness, elements)) == 5000
+
+
+def test_hasrep_past_the_search_budget_answers_from_the_sieve(capsys):
+    # The search is refused after SEARCH_CAP steps; F is 2997, so the
+    # target is representable and the grown sieve table gives a witness.
+    elements = list(range(1000, 4900, 3))
+    code, out, err = run_cli(["hasrep", "--json", "123457", *map(str, elements)], capsys)
+    assert (code, err) == (0, "")
+    rec = json.loads(out)
+    assert rec["representable"] is True
+    witness = rec["witness"]
+    assert len(witness) == len(elements) and min(witness) >= 0
+    assert sum(c * e for c, e in zip(witness, elements)) == 123457
 
 
 def test_hasrep_over_the_search_budget_exits_1(capsys):

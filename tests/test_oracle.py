@@ -7,13 +7,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobenius import (
+    DEFAULT_LIMIT_CAP,
+    Basis,
     InvalidInputError,
     ResourceLimitError,
+    frobenius,
+    frobenius_arithmetic,
     frobenius_oracle,
     gaps,
     gcd_all,
     is_independent,
     normalize_basis,
+    residue_table,
     scan_upper_bound,
     sieve,
 )
@@ -147,3 +152,94 @@ def test_dependent_generator_never_changes_the_answer(basis):
             ):
                 assert frobenius_oracle(normalize_basis(others)) == g
                 break
+
+
+@st.composite
+def shared_factor_bases(draw):
+    """All but one or two elements share a factor d, so prefixes have gcd > 1."""
+    d = draw(st.sampled_from((2, 3, 4, 6)))
+    raw = set(d * k for k in draw(st.sets(st.integers(1, 12), min_size=1, max_size=4)))
+    raw |= draw(st.sets(st.integers(2, 60), min_size=1, max_size=2))
+    assume(len(raw) >= 2 and gcd_all(raw) == 1)
+    return normalize_basis(raw)
+
+
+@st.composite
+def redundant_bases(draw):
+    """A small basis plus sums of its elements, which change nothing."""
+    es = draw(small_bases(max_element=30, max_arity=4)).elements
+    i, j = draw(st.integers(0, len(es) - 1)), draw(st.integers(0, len(es) - 1))
+    return normalize_basis(es + (es[i] + es[j], 2 * es[-1] + es[0]))
+
+
+any_small_basis = st.one_of(
+    small_bases(max_element=60, max_arity=6), shared_factor_bases(), redundant_bases()
+)
+
+
+# A first limit of 1 makes the grown table start at 2 * a_n (or at the
+# residue-count bound), so small bases go through several passes and stop
+# on the window test rather than at U + a1.
+@pytest.mark.parametrize("first_limit", [1, 2**12])
+@settings(max_examples=150, deadline=None)
+@given(any_small_basis)
+def test_grown_table_matches_the_brute_oracles_and_the_residue_table(first_limit, basis):
+    es = basis.elements
+    f = brute_frobenius(es)
+    reached = reachable_sums(es, max(f, 0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("frobenius.oracle._FIRST_LIMIT", first_limit)
+        assert frobenius_oracle(basis) == f == residue_table(basis).frobenius
+        assert gaps(basis) == tuple(v for v in range(1, f + 1) if v not in reached)
+
+
+# F is one more than a pass limit L here, and the a1 - 1 integers below
+# L + 1 are all representable: a window test one bit short stops at L
+# and reports a smaller hole.
+@pytest.mark.parametrize("first_limit, es", [
+    (1, (4, 8, 13)), (1, (6, 12, 43)), (1, (10, 21, 32)),
+    (2**12, (34, 384, 529)), (2**12, (5, 1248, 1783, 1823)),
+])
+def test_the_window_is_a1_bits_wide(first_limit, es, monkeypatch):
+    monkeypatch.setattr("frobenius.oracle._FIRST_LIMIT", first_limit)
+    assert frobenius_oracle(Basis(es)) == brute_frobenius(es)
+
+
+@pytest.mark.parametrize(
+    "a, d, k", [(1009, 2, 3), (997, 5, 4), (4099, 3, 5), (2003, 1, 3), (3001, 7, 4)]
+)
+def test_grown_table_on_arithmetic_progressions(a, d, k):
+    basis = Basis(tuple(a + i * d for i in range(k + 1)))
+    expected = frobenius_arithmetic(a, d, k)
+    assert frobenius_oracle(basis) == expected
+    assert frobenius(basis).value == expected
+
+
+def test_edge_cases_a1_two_and_one_in_the_basis():
+    assert frobenius_oracle(Basis((2, 2**20 + 1))) == 2**20 - 1
+    assert gaps(Basis((2, 9))) == (1, 3, 5, 7)
+    assert gaps(Basis((2, 4, 7, 9))) == (1, 3, 5)  # 9 = 2 + 7 is redundant
+    assert frobenius(Basis((2, 4, 6, 2**20 + 1))).value == 2**20 - 1
+    for es in ((1, 5), (1, 2, 3, 4), (1, 10**6)):
+        assert frobenius_oracle(Basis(es)) == -1
+        assert gaps(Basis(es)) == ()
+
+
+def test_bases_past_the_old_scan_cap_are_served():
+    # U is about a1 * a2 > 10**9, beyond what a sieve to U may build, but
+    # F + a1 is a few million bits; the residue table is the check.
+    es = (32003, 32009, 32089, 33013, 34019, 35051, 36073, 37021, 38047, 39079,
+          40009, 41011, 42013, 43019, 44021, 45007, 46021, 47017, 48017, 49009)
+    basis = Basis(es)
+    assert scan_upper_bound(basis) > DEFAULT_LIMIT_CAP
+    r = frobenius(basis, "oracle")
+    assert (r.value, r.algorithm) == (residue_table(basis).frobenius, "oracle")
+
+
+def test_the_cap_applies_to_the_limit_reached():
+    basis = Basis(tuple(range(100, 200)))  # U = 9899, F = 199: one pass to 2**12
+    assert frobenius_oracle(basis, limit_cap=2**12) == frobenius_arithmetic(100, 1, 99)
+    with pytest.raises(ResourceLimitError):
+        frobenius_oracle(basis, limit_cap=2**12 - 1)
+    with pytest.raises(ResourceLimitError):
+        gaps(basis, limit_cap=2**12 - 1)

@@ -175,7 +175,22 @@ def test_search_budget_refuses_with_an_error():
     basis = normalize_basis([10**15 + 3, 10**15 + 4, 2 * 10**15 + 5])
     target = 666666666666665666666666666666
     with pytest.raises(ResourceLimitError):
-        has_rep(target, basis)
+        has_rep(target, basis)  # and the sieve would need 4e15 bits
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_bases(), shared_factor_bases()), st.integers(0, 400))
+def test_sieve_answers_past_the_search_budget(basis, a):
+    # With no search steps allowed, every search of three or more
+    # generators is over budget, so the grown sieve table answers.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("frobenius.representability.SEARCH_CAP", 0)
+        expected = brute_representable(a, basis.elements)
+        assert has_rep(a, basis) == expected
+        w = find_witness(a, basis)  # the constructor checks the sum
+        assert (w is not None) == expected
+        big = a + 10**6
+        assert find_witness(big, basis).target == big
 
 
 def test_non_coprime_pair_via_gcd_filter():

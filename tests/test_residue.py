@@ -77,8 +77,13 @@ def test_chain_and_answer_match_the_sieve(basis):
     ]
     assert list(chain_bounds(basis)) == expected
     if basis.n > 2:
-        r = frobenius(basis)
+        r = frobenius(basis, "residue")
         assert (r.value, r.algorithm, r.candidates_scanned) == (expected[-1], "residue", 0)
+        # The default takes Rødseth's formula on three generators, and on
+        # more the cheaper of the sieve and the table; either way the value.
+        d = frobenius(basis)
+        tags = ("residue",) if basis.n == 3 else ("residue", "oracle")
+        assert d.value == expected[-1] and d.algorithm in tags
 
 
 def test_reference_rows():
@@ -105,6 +110,16 @@ def test_refuses_a_table_over_the_entry_cap(monkeypatch):
     assert residue_table(Basis((7, 11, 13))).frobenius == 30  # a1 at the cap
     with pytest.raises(ResourceLimitError):
         residue_table(Basis((8, 11, 13)))
+
+
+def test_refuses_a_basis_whose_answer_is_over_both_caps():
+    # F is about a1**2 / 3 > 10**14: past the sieve's bit cap, and a1 is
+    # past the table's entry cap.  A count of residues shows the sieve
+    # would need more than DEFAULT_LIMIT_CAP bits before any is built.
+    basis = Basis(tuple(RESIDUE_CAP + i for i in range(1, 5)))
+    for algorithm in (None, "oracle", "residue"):
+        with pytest.raises(ResourceLimitError):
+            frobenius(basis, algorithm)
 
 
 def test_refuses_entries_that_do_not_fit_in_64_bits():

@@ -13,6 +13,7 @@ from frobenius import (
     InvalidInputError,
     ResourceLimitError,
     frobenius,
+    frobenius_arithmetic,
     frobenius_descent,
     frobenius_oracle,
     frobenius_sequential,
@@ -79,6 +80,22 @@ def test_table_solvers_scan_nothing():
         r = frobenius(b, algo)
         assert (r.value, r.algorithm, r.candidates_scanned) == (30, tag, 0)
     assert frobenius(b).algorithm == "residue"  # the default
+
+
+def test_default_takes_the_table_when_the_sieve_would_cost_more():
+    # Four generators at a1 = 500009: F is about 8.3e10, far past any
+    # sieve the cost rule allows, while the table takes 1.5e6 steps.
+    a = 500009
+    r = frobenius(Basis(tuple(range(a, a + 4))))
+    assert (r.value, r.algorithm) == (frobenius_arithmetic(a, 1, 3), "residue")
+
+
+def test_default_takes_the_sieve_on_a_wide_basis():
+    # 201 generators: the table would take 200 * 10**4 steps, and F + a1
+    # is under 2**15 bits.
+    a = 10007
+    r = frobenius(Basis(tuple(range(a, a + 201))))
+    assert (r.value, r.algorithm) == (frobenius_arithmetic(a, 1, 200), "oracle")
 
 
 def test_scans_refuse_a_bound_over_the_cap(monkeypatch):
