@@ -27,7 +27,7 @@ independence behind both vacuity flags come from one residue table
 (residue module).  bound_report builds that table once; when the table is
 refused as too large, the report still carries the four bounds, with no
 chain (None) and selmer and beck flagged vacuous, since independence is
-then unknown.
+then unknown.  selmer_vacuous and beck_vacuous read the report's flags.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from math import isqrt
 
 from .basis import Basis
 from .errors import ArityError, ResourceLimitError
-from .residue import ResidueTable, is_independent, residue_table
+from .residue import ResidueTable, residue_table
 
 BOUND_NAMES = ("erdos-graham", "selmer", "vitek", "beck")
 
@@ -57,10 +57,8 @@ def bound_selmer(basis: Basis) -> int:
 
 
 def selmer_vacuous(basis: Basis) -> bool:
-    """True when bound_selmer carries no guarantee for this basis."""
-    if basis.elements[0] // basis.n == 0:
-        return True
-    return not is_independent(basis)
+    """True when bound_selmer carries no guarantee for this basis (bound_report's flag)."""
+    return bound_report(basis).selmer_vacuous
 
 
 def bound_vitek(basis: Basis) -> Fraction:
@@ -80,10 +78,8 @@ def bound_beck(basis: Basis) -> Fraction:
 
 
 def beck_vacuous(basis: Basis) -> bool:
-    """True when bound_beck carries no guarantee for this basis."""
-    if basis.n < 3:
-        return True
-    return not is_independent(basis)
+    """True when bound_beck carries no guarantee for this basis (bound_report's flag)."""
+    return bound_report(basis).beck_vacuous
 
 
 def chain_bounds(basis: Basis) -> tuple[int | None, ...]:

@@ -35,7 +35,8 @@ from math import comb
 
 from .basis import Basis, scan_upper_bound
 from .errors import InvalidInputError, ResourceLimitError
-from .residue import is_independent  # noqa: F401  (still importable from here)
+# Not used here: perfbench/tracer.py resolves oracle.is_independent by name.
+from .residue import is_independent  # noqa: F401
 
 # A table this size is ~125 MB of bits; anything larger is a mistake, not a
 # query.  The descent and sequential scans are held to the same bound.
@@ -75,12 +76,12 @@ class RepresentabilityTable:
         return tuple(out)
 
 
-def sieve(basis: Basis, limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> RepresentabilityTable:
-    """Tabulate representability for all targets in [0, limit]."""
+def sieve(basis: Basis, limit: int) -> RepresentabilityTable:
+    """Tabulate representability for all targets in [0, limit], limit <= DEFAULT_LIMIT_CAP."""
     if limit < 0:
         raise InvalidInputError(f"limit must be nonnegative, got {limit}")
-    if limit > limit_cap:
-        raise ResourceLimitError(f"limit {limit} exceeds cap {limit_cap}")
+    if limit > DEFAULT_LIMIT_CAP:
+        raise ResourceLimitError(f"limit {limit} exceeds cap {DEFAULT_LIMIT_CAP}")
     mask = (1 << (limit + 1)) - 1
     bits = 1  # 0 is the empty sum
     for a in basis:
@@ -123,15 +124,13 @@ def _least_window_end(basis: Basis) -> int:
     return lo * es[1]
 
 
-def _grown_table(
-    basis: Basis, *, limit_cap: int = DEFAULT_LIMIT_CAP, budget: int | None = None
-) -> RepresentabilityTable | None:
+def _grown_table(basis: Basis, *, budget: int | None = None) -> RepresentabilityTable | None:
     """A sieve table whose top a1 bits are all set; see the module docstring.
 
     With a budget (in _pass_cost words), returns None instead of starting
     a pass that would take the words spent so far past the budget, or the
-    limit past limit_cap.  Without one, a pass over limit_cap bits raises
-    ResourceLimitError.
+    limit past DEFAULT_LIMIT_CAP.  Without one, a pass over
+    DEFAULT_LIMIT_CAP bits raises ResourceLimitError.
     """
     a1 = basis.elements[0]
     top = scan_upper_bound(basis) + a1
@@ -142,25 +141,25 @@ def _grown_table(
     while True:
         if budget is not None:
             spent += _pass_cost(basis, limit)
-            if spent > budget or limit > limit_cap:
+            if spent > budget or limit > DEFAULT_LIMIT_CAP:
                 return None
-        table = sieve(basis, limit, limit_cap=limit_cap)
+        table = sieve(basis, limit)
         if limit == top or table.bits >> (limit - a1 + 1) == (1 << a1) - 1:
             return table
         limit = min(2 * limit, top)
 
 
-def frobenius_oracle(basis: Basis, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> int:
+def frobenius_oracle(basis: Basis) -> int:
     """Largest non-representable integer, read off the grown sieve table.
 
     Returns -1 when every positive integer is representable (1 in basis).
     """
-    return _grown_table(basis, limit_cap=limit_cap).holes().bit_length() - 1
+    return _grown_table(basis).holes().bit_length() - 1
 
 
-def gaps(basis: Basis, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> tuple[int, ...]:
+def gaps(basis: Basis) -> tuple[int, ...]:
     """Every non-representable positive integer, ascending."""
-    return _grown_table(basis, limit_cap=limit_cap).gaps()
+    return _grown_table(basis).gaps()
 
 
 def _sieve_witness(target: int, basis: Basis) -> tuple[int, ...] | None:

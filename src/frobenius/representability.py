@@ -22,12 +22,12 @@ representable iff m * b2 <= y.  The strides, inverses and the pair's
 data are computed once per basis.
 
 The search is one depth-first walk with an explicit stack, so a basis
-of any length needs no recursion.  A memo records the (target, prefix
-length) pairs that failed; sharing one across calls on one basis (the
-descent does) reuses them.  Each level tries its k in ascending order,
-so the path the walk ends on is a witness with the smallest possible
-count of a_n, then of a_{n-1} given that, and so on down to the pair:
-has_rep and find_witness are the same search.
+of any length needs no recursion.  It owns a memo of the (target, prefix
+length) pairs that failed, valid for its basis only: the descent builds
+one search per scan, has_rep one per call.  Each level tries its k in
+ascending order, so the path the walk ends on is a witness with the
+smallest possible count of a_n, then of a_{n-1} given that, and so on
+down to the pair: has_rep and find_witness are the same search.
 
 Every search is budgeted: more than SEARCH_CAP stripping steps (k values
 tried, at any level) end it.  See SEARCH_CAP for the step counts
@@ -46,8 +46,6 @@ from .basis import Basis, RepresentationWitness
 from .errors import InvalidInputError, ResourceLimitError
 from .oracle import _sieve_witness
 
-Memo = dict[tuple[int, int], bool]
-
 SEARCH_CAP = 2**20
 """Stripping steps one membership search may take before it is refused.
 
@@ -63,6 +61,8 @@ server).
 """
 
 
+# No caller in this package; kept as the tests' pair oracle and because
+# perfbench/tracer.py resolves representability.has_rep_two by name.
 def has_rep_two(a: int, b1: int, b2: int) -> bool:
     """True iff a = x*b1 + y*b2 has a solution with x, y >= 0.
 
@@ -83,16 +83,14 @@ def has_rep_two(a: int, b1: int, b2: int) -> bool:
     return m * b2 <= a
 
 
-def has_rep(a: int, basis: Basis, memo: Memo | None = None) -> bool:
+def has_rep(a: int, basis: Basis) -> bool:
     """True iff a is a nonnegative integer combination of the basis elements.
 
-    Pass a shared memo dict to reuse the failed subproblems across calls
-    with the same basis (keys are (target, prefix length)).  Past
-    SEARCH_CAP steps the grown sieve table answers.
+    Past SEARCH_CAP steps the grown sieve table answers.
     """
     if a < 0:
         raise InvalidInputError(f"target must be nonnegative, got {a}")
-    return _coefficients(a, basis, {} if memo is None else memo) is not None
+    return _coefficients(a, basis) is not None
 
 
 def find_witness(a: int, basis: Basis) -> RepresentationWitness | None:
@@ -105,16 +103,16 @@ def find_witness(a: int, basis: Basis) -> RepresentationWitness | None:
     """
     if a < 0:
         raise InvalidInputError(f"target must be nonnegative, got {a}")
-    coeffs = _coefficients(a, basis, {})
+    coeffs = _coefficients(a, basis)
     if coeffs is None:
         return None
     return RepresentationWitness(basis=basis, coefficients=tuple(coeffs), target=a)
 
 
-def _coefficients(a: int, basis: Basis, memo: Memo) -> Sequence[int] | None:
+def _coefficients(a: int, basis: Basis) -> Sequence[int] | None:
     """The search's witness for a, or the sieve's once the search is over budget."""
     try:
-        return _searcher(basis)(a, memo)
+        return _searcher(basis)(a)
     except ResourceLimitError as search_error:
         try:
             return _sieve_witness(a, basis)
@@ -122,11 +120,12 @@ def _coefficients(a: int, basis: Basis, memo: Memo) -> Sequence[int] | None:
             raise ResourceLimitError(f"{search_error}, and the sieve {sieve_error}") from None
 
 
-def _searcher(basis: Basis) -> Callable[[int, Memo], list[int] | None]:
+def _searcher(basis: Basis) -> Callable[[int], list[int] | None]:
     """The membership search over basis, with its per-basis data computed once.
 
-    The returned function maps (target, memo) to the coefficients of the
-    representation it finds, or None.  The descent builds one per scan.
+    The returned function maps a target to the coefficients of the
+    representation it finds, or None, and keeps the (target, prefix
+    length) pairs that failed.  The descent builds one per scan.
     """
     es = basis.elements
     n = len(es)
@@ -142,8 +141,9 @@ def _searcher(basis: Basis) -> Callable[[int, Memo], list[int] | None]:
     g = d[2]
     b1, b2 = es[0] // g, es[1] // g
     inv_b2 = pow(b2, -1, b1)
+    failed: set[tuple[int, int]] = set()
 
-    def search(target: int, memo: Memo) -> list[int] | None:
+    def search(target: int) -> list[int] | None:
         steps = 0
         if n == 2:
             if target % g:
@@ -155,7 +155,7 @@ def _searcher(basis: Basis) -> Callable[[int, Memo], list[int] | None]:
         x, j = target, n
         while True:
             # Enter (x, j), j >= 3; x is a multiple of d_j.
-            if (x, j) not in memo:
+            if (x, j) not in failed:
                 top, dj, stride, inv, jump = levels[j]
                 rest = x - (x // dj * inv % stride) * top
                 if j > 3:
@@ -180,7 +180,7 @@ def _searcher(basis: Basis) -> Callable[[int, Memo], list[int] | None]:
                                 coeffs.append((fx - frest) // es[fj - 1])
                             return coeffs
                         rest -= jump
-                memo[x, j] = False
+                failed.add((x, j))
             # (x, j) failed: move the deepest open level to its next remainder.
             while stack:
                 frame = stack[-1]
@@ -193,7 +193,7 @@ def _searcher(basis: Basis) -> Callable[[int, Memo], list[int] | None]:
                     frame[2] = frest
                     x, j = frest, fj - 1
                     break
-                memo[fx, fj] = False
+                failed.add((fx, fj))
                 stack.pop()
             else:
                 return None

@@ -40,9 +40,10 @@ Z is h_two's own zero condition, b1 | R - m*b2 for some m <= R//b2: with
 g = gcd(b1, b2), the smallest such m is (R/g) * (b2/g)^-1 mod (b1/g), and
 it must satisfy m*b2 <= R.  g, b1/g, b2/g and that inverse are computed
 once per basis.  The test is one depth-first walk with an explicit stack,
-so a basis of any length needs no recursion; a memo of (R, j) answers,
-both zero and nonzero, is shared across a scan.  It is derived apart from
-the representability module on purpose: the two agreeing is a check.
+so a basis of any length needs no recursion.  It owns a memo of (R, j)
+answers, zero and nonzero, valid for its basis only: the scans build one
+test per scan, h_is_zero one per call.  It is derived apart from the
+representability module on purpose: the two agreeing is a check.
 
 The scans settle most indices without a test, by residue class mod a1.
 The pair's condition, b1 | y - m*b2 with y = x/g and m*b2 <= y, keeps the
@@ -85,8 +86,6 @@ from typing import Callable
 from .basis import Basis, scan_upper_bound
 from .errors import InvalidInputError, ResourceLimitError
 from .representability import SEARCH_CAP
-
-ZeroMemo = dict[tuple[int, int], bool]
 
 TRACE_CAP = 2**17
 """Largest scan bound U that sequential_trace tabulates: 131072 entries.
@@ -207,32 +206,32 @@ def h_general(R: int, basis: Basis) -> Fraction:
     return Fraction(value(R, basis.elements))
 
 
-def h_is_zero(R: int, basis: Basis, memo: ZeroMemo | None = None) -> bool:
+def h_is_zero(R: int, basis: Basis) -> bool:
     """Whether h_general(R, basis) == 0, without building the product.
 
-    Follows the factor list of h (see the module docstring).  Pass a
-    shared memo dict to reuse work across many R for the same basis (keys
-    are (R, prefix length)).  Raises ResourceLimitError past SEARCH_CAP
-    steps.
+    Follows the factor list of h (see the module docstring).  Raises
+    ResourceLimitError past SEARCH_CAP steps.
     """
     if R < 1:
         raise InvalidInputError(f"R must be positive, got {R}")
-    return _zero_test(basis)(R, {} if memo is None else memo) >= 0
+    return _zero_test(basis)(R) >= 0
 
 
-def _zero_test(basis: Basis) -> Callable[[int, ZeroMemo], int]:
+def _zero_test(basis: Basis) -> Callable[[int], int]:
     """Z(R, n) over basis, with the pair's data computed once.
 
-    The returned function maps (R, memo), R >= 1, to -1 when h(R) is
-    nonzero, else to a slack s >= 0 such that h(R - k*a1) is 0 for every
-    k <= s (the pair factor's slack; 0 for a zero found through a_j | x
-    or a memo hit).  delta_scan and sequential_trace build one per scan.
+    The returned function maps R >= 1 to -1 when h(R) is nonzero, else
+    to a slack s >= 0 such that h(R - k*a1) is 0 for every k <= s (the
+    pair factor's slack; 0 for a zero found through a_j | x or a memo
+    hit), and keeps its (R, j) answers.  delta_scan and sequential_trace
+    build one per scan.
     """
     es = basis.elements
     n = len(es)
     g = gcd(es[0], es[1])
     b1, b2 = es[0] // g, es[1] // g
     inv_b2 = pow(b2, -1, b1)
+    memo: dict[tuple[int, int], bool] = {}
 
     def pair_slack(x: int) -> int:
         # b1 | y - m*b2 with m*b2 <= y holds for y - k*b1, k <= (y - m*b2)/b1.
@@ -242,7 +241,7 @@ def _zero_test(basis: Basis) -> Callable[[int, ZeroMemo], int]:
         mb2 = y * inv_b2 % b1 * b2
         return (y - mb2) // b1 if mb2 <= y else -1
 
-    def zero(R: int, memo: ZeroMemo) -> int:
+    def zero(R: int) -> int:
         steps = 0
         stack: list[list[int]] = []  # [x, j, current remainder] of the open levels >= 4
         x, j = R, n
@@ -308,7 +307,7 @@ def _over_budget(R: int) -> ResourceLimitError:
     return ResourceLimitError(f"zero test of h({R}) exceeds {SEARCH_CAP} steps")
 
 
-def delta(i: int, basis: Basis, memo: ZeroMemo | None = None) -> int:
+def delta(i: int, basis: Basis) -> int:
     """1 if i is NOT representable over the basis, 0 if it is.
 
     Defined for 1 <= i <= scan_upper_bound (everything above that bound
@@ -317,7 +316,7 @@ def delta(i: int, basis: Basis, memo: ZeroMemo | None = None) -> int:
     upper = scan_upper_bound(basis)
     if not 1 <= i <= upper:
         raise InvalidInputError(f"delta index {i} outside [1, {upper}]")
-    return 0 if h_is_zero(i, basis, memo) else 1
+    return 0 if h_is_zero(i, basis) else 1
 
 
 def delta_scan(basis: Basis) -> tuple[int, int]:
@@ -331,14 +330,13 @@ def delta_scan(basis: Basis) -> tuple[int, int]:
         raise InvalidInputError("basis contains 1; no index has delta = 1")
     a1 = basis.elements[0]
     zero = _zero_test(basis)
-    memo: ZeroMemo = {}
     floors: dict[int, int] = {}  # residue mod a1 -> least index proved zero
     for i in range(upper, 0, -1):
         r = i % a1
         least = floors.get(r)
         if least is not None and i >= least:
             continue
-        slack = zero(i, memo)
+        slack = zero(i)
         if slack < 0:
             return i, upper - i + 1
         floors[r] = i - slack * a1
@@ -389,12 +387,11 @@ def sequential_trace(basis: Basis, *, include_h_values: bool = False) -> Sequent
         raise ResourceLimitError(f"trace of {upper} entries exceeds cap {TRACE_CAP} entries")
     a1 = basis.elements[0]
     zero = _zero_test(basis)
-    memo: ZeroMemo = {}
     zero_classes: set[int] = set()  # residues mod a1 with a zero at a smaller index
     deltas: list[int] = []
     for i in range(1, upper + 1):
         r = i % a1
-        if r in zero_classes or zero(i, memo) >= 0:
+        if r in zero_classes or zero(i) >= 0:
             zero_classes.add(r)
             deltas.append(0)
         else:

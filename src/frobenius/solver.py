@@ -49,7 +49,7 @@ from .basis import Basis, scan_upper_bound
 from .closed_forms import frobenius_three
 from .errors import InvalidInputError, ResourceLimitError
 from .oracle import DEFAULT_LIMIT_CAP, _grown_table, frobenius_oracle
-from .representability import Memo, _searcher
+from .representability import _searcher
 from .residue import residue_table
 from .sequential import delta_scan
 
@@ -107,27 +107,26 @@ def frobenius_descent(basis: Basis) -> FrobeniusResult:
     """Downward scan from scan_upper_bound using the membership test.
 
     One membership search (representability module), with its per-basis
-    data and its memo, serves the scan.  Its witness carries the most
-    copies of a1 given the counts of the larger elements, coeffs[0] = c,
-    so the candidate minus c*a1 is representable too: it becomes the
-    floor of the candidate's residue class mod a1, and every later
-    candidate at or above its class's floor counts as scanned without a
-    search.  The floors are a dict with at most one entry per search,
-    never an a1-long list.
+    data and the memo of failures it owns, serves the whole scan.  Its
+    witness carries the most copies of a1 given the counts of the larger
+    elements, coeffs[0] = c, so the candidate minus c*a1 is representable
+    too: it becomes the floor of the candidate's residue class mod a1,
+    and every later candidate at or above its class's floor counts as
+    scanned without a search.  The floors are a dict with at most one
+    entry per search, never an a1-long list.
     """
     upper = _scan_bound(basis)
     if upper < 1:
         return FrobeniusResult(-1, upper, 0, "paper-descent")
     a1 = basis.elements[0]
     search = _searcher(basis)
-    memo: Memo = {}
     floors: dict[int, int] = {}  # residue mod a1 -> least candidate proved representable
     for a in range(upper, a1, -1):
         r = a % a1
         least = floors.get(r)
         if least is not None and a >= least:
             continue
-        coeffs = search(a, memo)
+        coeffs = search(a)
         if coeffs is None:
             return FrobeniusResult(a, upper, upper - a + 1, "paper-descent")
         floors[r] = a - coeffs[0] * a1

@@ -181,10 +181,9 @@ def test_criterion_5_h_zero_equivalence():
     for basis in bases:
         upper = scan_upper_bound(basis)
         table = sieve(basis, upper)
-        memo = {}
         for R in range(1, upper + 1):
             checked += 1
-            if h_is_zero(R, basis, memo) != table[R]:
+            if h_is_zero(R, basis) != table[R]:
                 mismatches.append((basis.elements, R))
         if upper <= 150:
             # Exact product values on the small instances: the fast zero

@@ -9,6 +9,7 @@ import pytest
 
 from frobenius import (
     ArityError,
+    Basis,
     Lcg,
     beck_vacuous,
     bound_beck,
@@ -105,6 +106,15 @@ def test_beck_vacuity_dependent_system():
     assert frobenius_oracle(b) == 5895
     assert not beck_vacuous(normalize_basis([7, 11, 13]))
     assert beck_vacuous(normalize_basis([3, 5]))  # arity alone
+
+
+def test_vacuity_flags_over_the_table_cap_are_the_reports():
+    # The residue table is refused here, so independence is unknown and
+    # bound_report flags both bounds vacuous; the two functions agree.
+    b = Basis(tuple(2**24 + k for k in range(1, 5)))
+    r = bound_report(b)
+    assert r.chain is None and r.selmer_vacuous and r.beck_vacuous
+    assert selmer_vacuous(b) and beck_vacuous(b)
 
 
 def test_chain_examples():

@@ -48,12 +48,13 @@ def test_sieve_index_range():
         t[-1]
 
 
-def test_sieve_limit_validation():
+def test_sieve_limit_validation(monkeypatch):
     b = normalize_basis([3, 5])
     with pytest.raises(InvalidInputError):
         sieve(b, -1)
+    monkeypatch.setattr("frobenius.oracle.DEFAULT_LIMIT_CAP", 50)
     with pytest.raises(ResourceLimitError):
-        sieve(b, 100, limit_cap=50)
+        sieve(b, 100)
 
 
 def test_scan_upper_bound():
@@ -236,10 +237,12 @@ def test_bases_past_the_old_scan_cap_are_served():
     assert (r.value, r.algorithm) == (residue_table(basis).frobenius, "oracle")
 
 
-def test_the_cap_applies_to_the_limit_reached():
+def test_the_cap_applies_to_the_limit_reached(monkeypatch):
     basis = Basis(tuple(range(100, 200)))  # U = 9899, F = 199: one pass to 2**12
-    assert frobenius_oracle(basis, limit_cap=2**12) == frobenius_arithmetic(100, 1, 99)
+    monkeypatch.setattr("frobenius.oracle.DEFAULT_LIMIT_CAP", 2**12)
+    assert frobenius_oracle(basis) == frobenius_arithmetic(100, 1, 99)
+    monkeypatch.setattr("frobenius.oracle.DEFAULT_LIMIT_CAP", 2**12 - 1)
     with pytest.raises(ResourceLimitError):
-        frobenius_oracle(basis, limit_cap=2**12 - 1)
+        frobenius_oracle(basis)
     with pytest.raises(ResourceLimitError):
-        gaps(basis, limit_cap=2**12 - 1)
+        gaps(basis)

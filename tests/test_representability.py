@@ -19,6 +19,7 @@ from frobenius import (
     scan_upper_bound,
     sieve,
 )
+from frobenius.representability import _searcher
 
 from conftest import brute_representable, reachable_sums
 
@@ -108,10 +109,10 @@ def test_monotone_closure(basis, a):
 
 @given(small_bases())
 def test_shared_memo_gives_same_answers(basis):
-    memo = {}
-    fresh = [has_rep(a, basis) for a in range(120)]
-    shared = [has_rep(a, basis, memo) for a in range(120)]
-    assert fresh == shared
+    # One search, built once, keeps its failures across all 120 queries.
+    search = _searcher(basis)
+    shared = [search(a) is not None for a in range(120)]
+    assert shared == [brute_representable(a, basis.elements) for a in range(120)]
 
 
 @settings(max_examples=150)

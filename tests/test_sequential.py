@@ -32,6 +32,7 @@ from frobenius import (
     sequential_trace,
     sieve,
 )
+from frobenius.sequential import _zero_test
 
 from conftest import brute_frobenius, brute_representable
 
@@ -132,12 +133,11 @@ def test_h_exact_value_zero_iff_oracle_bit(elements):
     a1, a2 = basis.elements[0], basis.elements[1]
     upper = a1 * a2 - a1 - a2
     table = sieve(basis, upper)
-    memo = {}
     for R in range(1, upper + 1):
         value = h_general(R, basis)
         assert isinstance(value, Fraction)
         assert (value == 0) == table[R], (elements, R, value)
-        assert h_is_zero(R, basis, memo) == (value == 0), (elements, R)
+        assert h_is_zero(R, basis) == (value == 0), (elements, R)
 
 
 def test_h_general_two_element_case_is_h_two():
@@ -161,10 +161,10 @@ def test_zero_test_matches_exhaustive_enumeration(basis, R):
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(small_bases(), shared_factor_bases()))
 def test_zero_test_shared_memo_gives_same_answers(basis):
-    memo = {}
-    fresh = [h_is_zero(R, basis) for R in range(1, 150)]
-    shared = [h_is_zero(R, basis, memo) for R in range(149, 0, -1)]
-    assert fresh == shared[::-1]
+    # One zero test, built once, keeps its (R, j) answers across all queries.
+    zero = _zero_test(basis)
+    shared = [zero(R) >= 0 for R in range(149, 0, -1)]
+    assert shared == [brute_representable(R, basis.elements) for R in range(149, 0, -1)]
 
 
 def test_zero_test_on_more_generators_than_the_recursion_limit():
