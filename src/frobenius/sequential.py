@@ -53,9 +53,8 @@ to that pair remainder drops by the same k*a1 and stays >= 0 (a remainder
 of 0 being a zero factor), so Z(R - k*a1) holds for the same k.  The
 zero test returns that slack, or -1 when h is nonzero; a zero reached
 through a_j | x or through a memo hit reports slack 0, which proves only
-R itself.  delta_scan keeps, per residue class mod a1, the least index
-proved zero (a floor, in a dict with at most one entry per test, never
-an a1-long list) and tests only the indices below their class's floor.
+R itself.  delta_scan, like the descent, walks down by _descend: after
+slack s at i, i's residue class mod a1 goes on at i - (s + 1)*a1.
 Read upward, Z(i) gives Z(i + a1): add b1 to the pair's y with the same
 m, and when Z(i) came from a_j | x, the remainder 0 becomes a1, which
 the pair takes with m = 0.  So sequential_trace, which ascends, keeps
@@ -80,9 +79,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heapreplace
 from math import floor, gcd
 from typing import Callable
 
+from . import oracle
 from .basis import Basis, scan_upper_bound
 from .errors import InvalidInputError, ResourceLimitError
 from .representability import SEARCH_CAP
@@ -325,22 +326,36 @@ def delta_scan(basis: Basis) -> tuple[int, int]:
     Walks downward from scan_upper_bound; equivalent to the full
     telescoping sum because the guard product zeroes every smaller term.
     """
-    upper = scan_upper_bound(basis)
-    if upper < 1:
+    _, i, scanned = _descend(basis, 1, _zero_test(basis))
+    if i is None:
         raise InvalidInputError("basis contains 1; no index has delta = 1")
+    return i, scanned
+
+
+def _descend(basis: Basis, low: int, proof: Callable[[int], int]) -> tuple[int, int | None, int]:
+    """(U, first failing x or None, candidates scanned) of both scans' walk down [low, U].
+
+    proof(x) is -1 when x fails, else c >= 0: x - k*a1 holds for k <= c, so
+    x's class mod a1 goes on at x - (c + 1)*a1.  A heap of each open
+    class's next candidate, at most min(a1, U - low + 1) entries, tests the
+    largest first, in O(log a1).  U above oracle.DEFAULT_LIMIT_CAP is refused.
+    """
+    upper = scan_upper_bound(basis)
+    if upper > oracle.DEFAULT_LIMIT_CAP:
+        raise ResourceLimitError(f"scan bound {upper} exceeds cap {oracle.DEFAULT_LIMIT_CAP}")
     a1 = basis.elements[0]
-    zero = _zero_test(basis)
-    floors: dict[int, int] = {}  # residue mod a1 -> least index proved zero
-    for i in range(upper, 0, -1):
-        r = i % a1
-        least = floors.get(r)
-        if least is not None and i >= least:
-            continue
-        slack = zero(i)
-        if slack < 0:
-            return i, upper - i + 1
-        floors[r] = i - slack * a1
-    raise RuntimeError("unreachable: 1 is never representable when all elements exceed 1")
+    # Negated: the least entry is the largest candidate, and ascending is a heap.
+    heap = list(range(-upper, 1 - max(low, upper - a1 + 1)))
+    while heap:
+        x = -heap[0]
+        c = proof(x)
+        if c < 0:
+            return upper, x, upper - x + 1
+        if x - (c + 1) * a1 >= low:
+            heapreplace(heap, (c + 1) * a1 - x)
+        else:
+            heappop(heap)
+    return upper, None, max(upper - low + 1, 0)
 
 
 @dataclass(frozen=True)

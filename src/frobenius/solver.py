@@ -14,17 +14,15 @@ Four solvers give the same answer by different means:
   [1, a1 - 1] are never representable (too small), and representability
   of a1 + 1 .. a1 + a1 extends upward by adding copies of a1.  A witness
   for t with c copies of a1 also proves t - k*a1 for every k <= c, so
-  the scan keeps, per residue class mod a1, the least candidate proved
-  so far (a floor) and searches only the candidates below their class's
-  floor (the residue classes of Nijenhuis's minimal-path table, Amer.
-  Math. Monthly 86, 1979);
+  the scan searches t's residue class mod a1 next at t - (c + 1)*a1
+  (the classes of Nijenhuis's minimal-path table, Amer. Math. Monthly
+  86, 1979), by the walk it shares with the sequential scan;
 - "oracle" reads the highest gap off the grown sieve table (oracle
   module), which needs about F + a1 bits;
 - "sequential" is the floor-function indicator scan (sequential module).
 
-Descent and sequential scan up to scan_upper_bound candidates, so they
-refuse (ResourceLimitError) a bound above the sieve's DEFAULT_LIMIT_CAP,
-the same cap that bounds the bits of a sieve table.
+That walk (sequential._descend) refuses (ResourceLimitError) a scan
+bound above oracle.DEFAULT_LIMIT_CAP, the cap on a sieve table's bits.
 
 frobenius() picks the algorithm and wraps the answer in a FrobeniusResult.
 Two-element bases short-circuit to the closed form a1*a2 - a1 - a2, and a
@@ -47,11 +45,11 @@ from dataclasses import dataclass
 
 from .basis import Basis, scan_upper_bound
 from .closed_forms import frobenius_three
-from .errors import InvalidInputError, ResourceLimitError
-from .oracle import DEFAULT_LIMIT_CAP, _grown_table, frobenius_oracle
+from .errors import InvalidInputError
+from .oracle import _grown_table, frobenius_oracle
 from .representability import _searcher
 from .residue import residue_table
-from .sequential import delta_scan
+from .sequential import _descend, delta_scan
 
 ALGORITHM_TAGS = ("residue", "paper-descent", "oracle", "sequential", "closed-form")
 
@@ -95,47 +93,33 @@ class FrobeniusResult:
             raise InvalidInputError(f"unknown algorithm tag {self.algorithm!r}")
 
 
-def _scan_bound(basis: Basis) -> int:
-    """scan_upper_bound, refused above DEFAULT_LIMIT_CAP candidates."""
-    upper = scan_upper_bound(basis)
-    if upper > DEFAULT_LIMIT_CAP:
-        raise ResourceLimitError(f"scan bound {upper} exceeds cap {DEFAULT_LIMIT_CAP}")
-    return upper
-
-
 def frobenius_descent(basis: Basis) -> FrobeniusResult:
     """Downward scan from scan_upper_bound using the membership test.
 
     One membership search (representability module), with its per-basis
     data and the memo of failures it owns, serves the whole scan.  Its
     witness carries the most copies of a1 given the counts of the larger
-    elements, coeffs[0] = c, so the candidate minus c*a1 is representable
-    too: it becomes the floor of the candidate's residue class mod a1,
-    and every later candidate at or above its class's floor counts as
-    scanned without a search.  The floors are a dict with at most one
-    entry per search, never an a1-long list.
+    elements, coeffs[0] = c, so the candidate minus k*a1 is representable
+    for k <= c.  The walk (sequential._descend) keeps each open residue
+    class's next candidate in a heap of at most min(a1, U - a1) entries,
+    and counts the candidates it passes over as scanned without a search.
     """
-    upper = _scan_bound(basis)
-    if upper < 1:
-        return FrobeniusResult(-1, upper, 0, "paper-descent")
     a1 = basis.elements[0]
     search = _searcher(basis)
-    floors: dict[int, int] = {}  # residue mod a1 -> least candidate proved representable
-    for a in range(upper, a1, -1):
-        r = a % a1
-        least = floors.get(r)
-        if least is not None and a >= least:
-            continue
+
+    def proof(a: int) -> int:
         coeffs = search(a)
-        if coeffs is None:
-            return FrobeniusResult(a, upper, upper - a + 1, "paper-descent")
-        floors[r] = a - coeffs[0] * a1
-    return FrobeniusResult(a1 - 1, upper, max(upper - a1, 0), "paper-descent")
+        return -1 if coeffs is None else coeffs[0]
+
+    upper, value, scanned = _descend(basis, a1 + 1, proof)
+    if upper < 1:
+        return FrobeniusResult(-1, upper, 0, "paper-descent")
+    return FrobeniusResult(a1 - 1 if value is None else value, upper, scanned, "paper-descent")
 
 
 def frobenius_sequential(basis: Basis) -> FrobeniusResult:
     """Solve via the floor-function indicator scan (see the sequential module)."""
-    upper = _scan_bound(basis)
+    upper = scan_upper_bound(basis)
     if upper < 1:
         return FrobeniusResult(-1, upper, 0, "sequential")
     value, scanned = delta_scan(basis)

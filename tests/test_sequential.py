@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobenius import (
+    REFERENCE_CASES,
     InvalidInputError,
     ResourceLimitError,
     SequentialTrace,
@@ -32,6 +33,7 @@ from frobenius import (
     sequential_trace,
     sieve,
 )
+from frobenius.representability import _searcher
 from frobenius.sequential import _zero_test
 
 from conftest import brute_frobenius, brute_representable
@@ -242,7 +244,7 @@ def test_both_scans_match_the_brute_oracles(basis):
     descent = frobenius_descent(basis)
     value, scanned = delta_scan(basis)
     assert descent.value == value == frobenius_oracle(basis) == expected
-    # The floors settle candidates without a search; every one still counts.
+    # The walk settles candidates without a search; every one still counts.
     if expected > basis.elements[0]:
         assert descent.candidates_scanned == scanned == scan_upper_bound(basis) - expected + 1
 
@@ -258,11 +260,107 @@ def test_both_scans_match_the_sieve_on_a_wide_corpus():
 
 def test_scans_of_a_large_triple_settle_most_candidates_by_floor():
     basis = normalize_basis([1021, 1031, 1033])  # 871,887 candidates
-    expected = frobenius_oracle(basis)
-    for scan in (lambda: frobenius_descent(basis).value, lambda: delta_scan(basis)[0]):
-        t0 = perf_counter()
-        assert scan() == expected
-        assert perf_counter() - t0 < 0.8
+    t0 = perf_counter()
+    descent = frobenius_descent(basis)
+    assert perf_counter() - t0 < 0.8
+    t0 = perf_counter()
+    sequential = delta_scan(basis)
+    assert perf_counter() - t0 < 0.8
+    assert descent.value == sequential[0] == frobenius_oracle(basis)
+    assert (descent.value, descent.candidates_scanned) == sequential == (178713, 871887)
+
+
+def test_delta_scan_refuses_a_bound_over_the_cap():
+    basis = normalize_basis([100003, 100019, 100043])  # scan bound about 1.0e10
+    t0 = perf_counter()
+    with pytest.raises(ResourceLimitError):
+        delta_scan(basis)
+    assert perf_counter() - t0 < 0.5
+
+
+def _reference_walk(basis, low, proof):
+    """Every candidate of [low, U] in turn, one floor per residue class mod a1.
+
+    The per-candidate form of the scans' walk: proof(x) is -1 when x
+    fails, else the copies of a1 below x that it settles too.
+    """
+    upper = scan_upper_bound(basis)
+    a1 = basis.elements[0]
+    floors = {}  # residue mod a1 -> least candidate settled
+    for x in range(upper, low - 1, -1):
+        least = floors.get(x % a1)
+        if least is not None and x >= least:
+            continue
+        c = proof(x)
+        if c < 0:
+            return x, upper - x + 1
+        floors[x % a1] = x - c * a1
+    return None, max(upper - low + 1, 0)
+
+
+def _recording(build, tested):
+    def recorded_build(basis):
+        test = build(basis)
+
+        def recorded(x):
+            tested.append(x)
+            return test(x)
+
+        return recorded
+
+    return recorded_build
+
+
+def _walks(basis):
+    """((value, scanned) of the descent, of delta_scan or None when it refuses),
+    each scan checked test for test against the reference walk."""
+    a1 = basis.elements[0]
+    ref_tests, tests = [], []
+    search = _recording(_searcher, ref_tests)(basis)
+    value, scanned = _reference_walk(
+        basis, a1 + 1, lambda x: -1 if (coeffs := search(x)) is None else coeffs[0])
+    descent = (-1, 0) if basis.contains_one else (a1 - 1 if value is None else value, scanned)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("frobenius.solver._searcher", _recording(_searcher, tests))
+        r = frobenius_descent(basis)
+    assert (r.value, r.candidates_scanned) == descent
+    assert tests == ref_tests
+
+    ref_tests, tests = [], []
+    sequential = _reference_walk(basis, 1, _recording(_zero_test, ref_tests)(basis))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("frobenius.sequential._zero_test", _recording(_zero_test, tests))
+        if basis.contains_one:
+            sequential = None
+            with pytest.raises(InvalidInputError):
+                delta_scan(basis)
+        else:
+            assert delta_scan(basis) == sequential
+    assert tests == ref_tests
+    return descent, sequential
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_bases(), shared_factor_bases()))
+def test_scans_make_the_reference_walks_tests_in_order(basis):
+    expected = brute_frobenius(basis.elements)
+    (d_value, _), (s_value, _) = _walks(basis)
+    assert d_value == s_value == expected
+
+
+def test_scans_make_the_reference_walks_tests_on_the_reference_rows():
+    for elements, expected in REFERENCE_CASES:
+        (d_value, _), (s_value, _) = _walks(normalize_basis(elements))
+        assert d_value == s_value == expected
+
+
+def test_scan_walk_edge_cases():
+    # Empty descent range: U = 1 is below a1 + 1.
+    assert _walks(normalize_basis([2, 3])) == ((1, 0), (1, 1))
+    # The whole descent range is representable, so F = a1 - 1.
+    assert _walks(normalize_basis([4, 5, 6, 7])) == ((3, 7), (3, 9))
+    # A basis containing 1: the descent answers -1, delta_scan refuses.
+    assert _walks(normalize_basis([1, 9])) == ((-1, 0), None)
 
 
 @settings(max_examples=80, deadline=None)

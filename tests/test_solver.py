@@ -12,6 +12,7 @@ from frobenius import (
     FrobeniusResult,
     InvalidInputError,
     ResourceLimitError,
+    delta_scan,
     frobenius,
     frobenius_arithmetic,
     frobenius_descent,
@@ -100,10 +101,10 @@ def test_default_takes_the_sieve_on_a_wide_basis():
 
 def test_scans_refuse_a_bound_over_the_cap(monkeypatch):
     b = normalize_basis([7, 11, 13])  # scan bound 59
-    monkeypatch.setattr("frobenius.solver.DEFAULT_LIMIT_CAP", 59)
+    monkeypatch.setattr("frobenius.oracle.DEFAULT_LIMIT_CAP", 59)
     assert frobenius_descent(b).value == frobenius_sequential(b).value == 30
-    monkeypatch.setattr("frobenius.solver.DEFAULT_LIMIT_CAP", 58)
-    for solve in (frobenius_descent, frobenius_sequential):
+    monkeypatch.setattr("frobenius.oracle.DEFAULT_LIMIT_CAP", 58)
+    for solve in (frobenius_descent, frobenius_sequential, delta_scan):
         with pytest.raises(ResourceLimitError):
             solve(b)
 
