@@ -52,8 +52,8 @@ SEARCH_CAP = 2**20
 The largest counts per search measured on the package's own inputs are
 far below it: 489, 909 and 1199 on the 8-, 10- and 12-generator bases
 of the hasrep benchmark (every target up to each basis's scan bound),
-220 in the descent over the verify corpus (--count 500 --max 200
---arity 5 --seed 42) and 678 in the descent over the table1 rows.  A
+272 in the descent over the verify corpus (--count 500 --max 200
+--arity 5 --seed 42) and 1348 in the descent over the table1 rows.  A
 query it refuses, such as a 30-digit target over three elements near
 10**15, would otherwise strip about 10**14 copies of the largest
 element; 2**20 steps took 0.5 s (Python 3.11, one core of an x86-64

@@ -46,15 +46,26 @@ test per scan, h_is_zero one per call.  It is derived apart from the
 representability module on purpose: the two agreeing is a check.
 
 The scans settle most indices without a test, by residue class mod a1.
-The pair's condition, b1 | y - m*b2 with y = x/g and m*b2 <= y, keeps the
-same m when y drops by multiples of b1, so it holds at x - k*a1 for every
+The walk they share, _descend, keeps least[r], the least number it has
+proven representable in class r; every x >= least[x % a1] is then
+representable (add copies of a1).  An open x is settled by a lookup when
+least[(x - a) % a1] + a <= x for a generator a > a1: a representable
+number plus a generator (the principle of Nijenhuis's minimal-path
+table, Amer. Math. Monthly 86, 1979).  Only the rest are tested.  least
+only ever holds 0, a generator, x - c*a1 from a passing test, or
+least[r'] + a, and each is representable; for this scan that rests on
+Z(R) holding exactly when R is representable.  A failure is declared
+only by a test, so the first one is the largest gap.
+
+A passing test reports how far down its class it reaches.  The pair's
+condition, b1 | y - m*b2 with y = x/g and m*b2 <= y, keeps the same m
+when y drops by multiples of b1, so it holds at x - k*a1 for every
 k <= (y - m*b2)/b1, the slack.  Every remainder on the path from R down
-to that pair remainder drops by the same k*a1 and stays >= 0 (a remainder
-of 0 being a zero factor), so Z(R - k*a1) holds for the same k.  The
-zero test returns that slack, or -1 when h is nonzero; a zero reached
-through a_j | x or through a memo hit reports slack 0, which proves only
-R itself.  delta_scan, like the descent, walks down by _descend: after
-slack s at i, i's residue class mod a1 goes on at i - (s + 1)*a1.
+to that pair remainder drops by the same k*a1 and stays >= 0 (a
+remainder of 0 being a zero factor), so Z(R - k*a1) holds for the same
+k.  The zero test returns that slack, or -1 when h is nonzero; a zero
+reached through a_j | x or through a memo hit reports slack 0, which
+proves only R itself.  After slack s at i, least[i % a1] = i - s*a1.
 Read upward, Z(i) gives Z(i + a1): add b1 to the pair's y with the same
 m, and when Z(i) came from a_j | x, the remainder 0 becomes a1, which
 the pair takes with m = 0.  So sequential_trace, which ascends, keeps
@@ -64,8 +75,8 @@ them without a test.
 Every zero test is budgeted: more than SEARCH_CAP steps (remainders
 handed to a shorter prefix, the pair's tests included) raise
 ResourceLimitError.  The largest counts per test measured are far below
-it: 250 in the delta scans of the verify corpus (--count 500 --max 200
---arity 5 --seed 42), 663 in those of the table1 rows (the 49-generator
+it: 262 in the delta scans of the verify corpus (--count 500 --max 200
+--arity 5 --seed 42), 925 in those of the table1 rows (the 49-generator
 row), and 1188 for R = 7777 over the 1300 generators 1000..2299.  A test
 it refuses, such as R = 666666666666665666666666666666 over
 {10**15 + 3, 10**15 + 4, 2*10**15 + 5}, would otherwise try about 3*10**14
@@ -335,24 +346,43 @@ def delta_scan(basis: Basis) -> tuple[int, int]:
 def _descend(basis: Basis, low: int, proof: Callable[[int], int]) -> tuple[int, int | None, int]:
     """(U, first failing x or None, candidates scanned) of both scans' walk down [low, U].
 
-    proof(x) is -1 when x fails, else c >= 0: x - k*a1 holds for k <= c, so
-    x's class mod a1 goes on at x - (c + 1)*a1.  A heap of each open
-    class's next candidate, at most min(a1, U - low + 1) entries, tests the
-    largest first, in O(log a1).  U above oracle.DEFAULT_LIMIT_CAP is refused.
+    least[r] is the least number proven representable in residue class r
+    mod a1, so every x >= least[x % a1] is settled.  It starts at 0 and the
+    generators.  An open x is settled without a test when some larger
+    generator a has least[(x - a) % a1] + a <= x (a representable number
+    plus a generator), tried in ascending a; otherwise proof(x) is -1 when
+    x fails, else c >= 0 with x - c*a1 representable.  Only a test declares
+    x failing, so the first failure is the largest gap in [low, U].
+    A heap of each open class's next candidate, at most min(a1, U - low + 1)
+    entries, takes the largest first, in O(log a1).  U above
+    oracle.DEFAULT_LIMIT_CAP is refused.
     """
     upper = scan_upper_bound(basis)
     if upper > oracle.DEFAULT_LIMIT_CAP:
         raise ResourceLimitError(f"scan bound {upper} exceeds cap {oracle.DEFAULT_LIMIT_CAP}")
-    a1 = basis.elements[0]
+    a1, *rest = basis.elements
+    least = [upper + 1] * a1  # above every candidate: nothing proven yet
+    least[0] = 0
+    for a in rest:
+        least[a % a1] = min(least[a % a1], a)
     # Negated: the least entry is the largest candidate, and ascending is a heap.
     heap = list(range(-upper, 1 - max(low, upper - a1 + 1)))
     while heap:
         x = -heap[0]
-        c = proof(x)
-        if c < 0:
-            return upper, x, upper - x + 1
-        if x - (c + 1) * a1 >= low:
-            heapreplace(heap, (c + 1) * a1 - x)
+        r = x % a1
+        if least[r] > x:
+            for a in rest:
+                proven = least[(x - a) % a1] + a
+                if proven <= x:
+                    least[r] = proven
+                    break
+            else:
+                c = proof(x)
+                if c < 0:
+                    return upper, x, upper - x + 1
+                least[r] = x - c * a1
+        if least[r] - a1 >= low:
+            heapreplace(heap, a1 - least[r])
         else:
             heappop(heap)
     return upper, None, max(upper - low + 1, 0)

@@ -14,9 +14,12 @@ Four solvers give the same answer by different means:
   [1, a1 - 1] are never representable (too small), and representability
   of a1 + 1 .. a1 + a1 extends upward by adding copies of a1.  A witness
   for t with c copies of a1 also proves t - k*a1 for every k <= c, so
-  the scan searches t's residue class mod a1 next at t - (c + 1)*a1
-  (the classes of Nijenhuis's minimal-path table, Amer. Math. Monthly
-  86, 1979), by the walk it shares with the sequential scan;
+  t - c*a1 is the least number proven in t's residue class mod a1 (the
+  classes of Nijenhuis's minimal-path table, Amer. Math. Monthly 86,
+  1979).  A candidate x is settled without a search when x - a is
+  proven in its class for a larger generator a, since a representable
+  number plus a generator is representable.  The walk is shared with
+  the sequential scan;
 - "oracle" reads the highest gap off the grown sieve table (oracle
   module), which needs about F + a1 bits;
 - "sequential" is the floor-function indicator scan (sequential module).
@@ -49,7 +52,7 @@ from .errors import InvalidInputError
 from .oracle import _grown_table, frobenius_oracle
 from .representability import _searcher
 from .residue import residue_table
-from .sequential import _descend, delta_scan
+from .sequential import _descend, _zero_test
 
 ALGORITHM_TAGS = ("residue", "paper-descent", "oracle", "sequential", "closed-form")
 
@@ -100,9 +103,12 @@ def frobenius_descent(basis: Basis) -> FrobeniusResult:
     data and the memo of failures it owns, serves the whole scan.  Its
     witness carries the most copies of a1 given the counts of the larger
     elements, coeffs[0] = c, so the candidate minus k*a1 is representable
-    for k <= c.  The walk (sequential._descend) keeps each open residue
-    class's next candidate in a heap of at most min(a1, U - a1) entries,
-    and counts the candidates it passes over as scanned without a search.
+    for k <= c.  The walk (sequential._descend) keeps the least number
+    proven in each residue class, settles a candidate x without a search
+    when x - a plus a larger generator a is already proven in its class,
+    keeps each open class's next candidate in a heap of at most
+    min(a1, U - a1) entries, and counts the candidates it passes over as
+    scanned.
     """
     a1 = basis.elements[0]
     search = _searcher(basis)
@@ -118,11 +124,13 @@ def frobenius_descent(basis: Basis) -> FrobeniusResult:
 
 
 def frobenius_sequential(basis: Basis) -> FrobeniusResult:
-    """Solve via the floor-function indicator scan (see the sequential module)."""
-    upper = scan_upper_bound(basis)
+    """Solve via the floor-function indicator scan (see the sequential module).
+
+    Runs delta_scan's walk directly, which also returns its scan bound.
+    """
+    upper, value, scanned = _descend(basis, 1, _zero_test(basis))
     if upper < 1:
         return FrobeniusResult(-1, upper, 0, "sequential")
-    value, scanned = delta_scan(basis)
     return FrobeniusResult(value, upper, scanned, "sequential")
 
 

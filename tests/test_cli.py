@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -135,6 +136,17 @@ def test_verify_json_is_byte_deterministic(capsys):
     summary = json.loads(lines[-1])
     assert summary["agreements"] == 8 and summary["disagreements"] == 0
     assert "elapsed_ms" not in out1
+
+
+def test_verify_json_output_is_pinned(capsys):
+    # The seed-42 corpus's records, byte for byte: a solver change that
+    # alters any answer, tag or field order changes this digest.
+    argv = ["verify", "--json", "--count", "500", "--max", "200", "--arity", "5", "--seed", "42"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5269323b6c20264e79a55ccd39186f26e98decb66bebdaae5dd815d6976265d0"
+    )
 
 
 def test_verify_disagreement_exits_2(capsys, monkeypatch):

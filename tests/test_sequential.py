@@ -281,20 +281,34 @@ def test_delta_scan_refuses_a_bound_over_the_cap():
 def _reference_walk(basis, low, proof):
     """Every candidate of [low, U] in turn, one floor per residue class mod a1.
 
-    The per-candidate form of the scans' walk: proof(x) is -1 when x
-    fails, else the copies of a1 below x that it settles too.
+    The per-candidate form of the scans' walk: a class's floor starts at
+    0 or its least generator; an open x is settled by a larger generator
+    a when the floor of x - a's class plus a is at most x, a new floor
+    checked against brute force; else proof(x) is -1 when x fails, or
+    the copies of a1 below x that it settles too.
     """
     upper = scan_upper_bound(basis)
-    a1 = basis.elements[0]
-    floors = {}  # residue mod a1 -> least candidate settled
+    es = basis.elements
+    a1 = es[0]
+    floors = {0: 0}  # residue mod a1 -> least number proven representable
+    for a in es[1:]:
+        floors[a % a1] = min(floors.get(a % a1, a), a)
     for x in range(upper, low - 1, -1):
         least = floors.get(x % a1)
         if least is not None and x >= least:
             continue
-        c = proof(x)
-        if c < 0:
-            return x, upper - x + 1
-        floors[x % a1] = x - c * a1
+        for a in es[1:]:
+            least = floors.get((x - a) % a1)
+            if least is not None and least + a <= x:
+                # The new floor, and so x above it, by brute force.
+                assert brute_representable(least + a, es), (es, x, a)
+                floors[x % a1] = least + a
+                break
+        else:
+            c = proof(x)
+            if c < 0:
+                return x, upper - x + 1
+            floors[x % a1] = x - c * a1
     return None, max(upper - low + 1, 0)
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from time import perf_counter
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,8 @@ from frobenius import (
     frobenius_sequential,
     gcd_all,
     normalize_basis,
+    residue_table,
+    scan_upper_bound,
 )
 
 
@@ -44,6 +49,29 @@ def test_reference_rows_count_every_scanned_candidate():
         basis = Basis(elements)
         assert frobenius_descent(basis).candidates_scanned == count
         assert frobenius_sequential(basis).candidates_scanned == count
+
+
+def test_scans_reach_a_basis_of_1300_generators():
+    # Settled from x - a_j's proven class, almost no candidate is searched
+    # here: the descent makes no membership test, the sequential scan one
+    # zero test (the failing 999).
+    basis = normalize_basis(range(1000, 2300))
+    upper = scan_upper_bound(basis)
+    for algorithm, scanned in (("paper", upper - 1000), ("sequential", upper - 999 + 1)):
+        t0 = perf_counter()
+        r = frobenius(basis, algorithm)
+        assert perf_counter() - t0 < 2.0, algorithm
+        # The descent's range [a1 + 1, U] is all representable, so it
+        # scans all of it and answers a1 - 1.
+        assert (r.value, r.candidates_scanned) == (999, scanned), algorithm
+
+
+def test_scans_match_the_tables_on_60_generators_near_10k():
+    basis = normalize_basis(random.Random(0).sample(range(10**4, 2 * 10**4), 60))
+    expected = frobenius_oracle(basis)
+    assert expected == residue_table(basis).frobenius == 46903
+    assert frobenius(basis, "paper").value == expected
+    assert frobenius(basis, "sequential").value == expected
 
 
 def test_redundant_generator_leaves_answer_alone():
