@@ -19,14 +19,12 @@ from .basis import Basis, RepresentationWitness, gcd_all, normalize_basis, scan_
 from .bounds import (
     BOUND_NAMES,
     BoundReport,
-    beck_vacuous,
     bound_beck,
     bound_erdos_graham,
     bound_report,
     bound_selmer,
     bound_vitek,
     chain_bounds,
-    selmer_vacuous,
 )
 from .closed_forms import (
     FibonacciTripleParams,
@@ -60,7 +58,6 @@ from .residue import RESIDUE_CAP, ResidueTable, is_independent, residue_table
 from .sequential import (
     TRACE_CAP,
     SequentialTrace,
-    delta,
     delta_scan,
     f_indicator,
     h_general,
@@ -104,14 +101,12 @@ __all__ = [
     "ResourceLimitError",
     "SequentialTrace",
     "TRACE_CAP",
-    "beck_vacuous",
     "bound_beck",
     "bound_erdos_graham",
     "bound_report",
     "bound_selmer",
     "bound_vitek",
     "chain_bounds",
-    "delta",
     "delta_scan",
     "f_indicator",
     "fibonacci",
@@ -139,7 +134,6 @@ __all__ = [
     "random_basis",
     "residue_table",
     "scan_upper_bound",
-    "selmer_vacuous",
     "sequential_trace",
     "sieve",
     "__version__",

@@ -27,7 +27,7 @@ independence behind both vacuity flags come from one residue table
 (residue module).  bound_report builds that table once; when the table is
 refused as too large, the report still carries the four bounds, with no
 chain (None) and selmer and beck flagged vacuous, since independence is
-then unknown.  selmer_vacuous and beck_vacuous read the report's flags.
+then unknown.
 """
 
 from __future__ import annotations
@@ -56,11 +56,6 @@ def bound_selmer(basis: Basis) -> int:
     return 2 * es[-1] * (es[0] // n) - es[0]
 
 
-def selmer_vacuous(basis: Basis) -> bool:
-    """True when bound_selmer carries no guarantee for this basis (bound_report's flag)."""
-    return bound_report(basis).selmer_vacuous
-
-
 def bound_vitek(basis: Basis) -> Fraction:
     es = basis.elements
     return Fraction((es[1] - 1) * (es[-1] - 2), 2) - 1
@@ -75,11 +70,6 @@ def bound_beck(basis: Basis) -> Fraction:
     # isqrt rounds down; +1 makes the approximation one-sided (upward).
     root_upper = Fraction(isqrt(s * _SQRT_SCALE * _SQRT_SCALE) + 1, _SQRT_SCALE)
     return (root_upper - (a1 + a2 + a3)) / 2
-
-
-def beck_vacuous(basis: Basis) -> bool:
-    """True when bound_beck carries no guarantee for this basis (bound_report's flag)."""
-    return bound_report(basis).beck_vacuous
 
 
 def chain_bounds(basis: Basis) -> tuple[int | None, ...]:

@@ -27,13 +27,20 @@ import time
 
 from .basis import Basis, normalize_basis
 from .bounds import BoundReport, bound_report
-from .errors import FrobeniusError, InvalidInputError
-from .oracle import frobenius_oracle
-from .randgen import Lcg, random_basis
+from .errors import FrobeniusError, InvalidInputError, ResourceLimitError
+from .oracle import DEFAULT_LIMIT_CAP, frobenius_oracle
+from .randgen import random_bases
 from .reference import REFERENCE_CASES
 from .representability import find_witness
+from .residue import residue_table
 from .sequential import sequential_trace
-from .solver import frobenius, frobenius_descent, frobenius_sequential
+from .solver import (
+    _ALGORITHM_NAMES,
+    FrobeniusResult,
+    frobenius,
+    frobenius_descent,
+    frobenius_sequential,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,6 +85,27 @@ def _gather_basis(args: argparse.Namespace) -> Basis:
     return normalize_basis(raw)
 
 
+def _check_answer(basis: Basis, res: FrobeniusResult) -> tuple[str, int]:
+    """(name, answer) of a method that did not produce res.
+
+    A sieve answer is checked against the residue table, any other against
+    the sieve.  The sieve needs about F + a1 bits, so past its cap the table
+    checks every answer it did not give itself; on four or more generators
+    a "residue" answer is the table's, and the sieve's error stands.  The
+    answer under check only picks the checker, never its result.
+    """
+    if res.algorithm == "oracle":
+        return "residue table", frobenius(basis, "residue").value
+    from_table = res.algorithm == "residue" and basis.n >= 4
+    if from_table or res.value + basis.elements[0] <= DEFAULT_LIMIT_CAP:
+        try:
+            return "sieve", frobenius_oracle(basis)
+        except ResourceLimitError:
+            if from_table:
+                raise
+    return "residue table", residue_table(basis).frobenius
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     basis = _gather_basis(args)
     t0 = time.perf_counter()
@@ -85,12 +113,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     verified = False
     if args.check:
-        # A sieve answer is checked against the residue table, any other
-        # against the sieve, so that no check compares a method with itself.
-        if res.algorithm == "oracle":
-            checker, other = "residue table", frobenius(basis, "residue").value
-        else:
-            checker, other = "sieve", frobenius_oracle(basis)
+        checker, other = _check_answer(basis, res)
         if other != res.value:
             print(
                 f"internal disagreement: {res.algorithm} gave {res.value}, "
@@ -119,11 +142,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise InvalidInputError(f"--count must be >= 1, got {args.count}")
-    rng = Lcg(args.seed)
     agreements = 0
     disagreements = 0
-    for _ in range(args.count):
-        basis = random_basis(rng, max_element=args.max, max_arity=args.arity)
+    for basis in random_bases(args.seed, args.count, max_element=args.max, max_arity=args.arity):
         d = frobenius_descent(basis).value
         s = frobenius_sequential(basis).value
         o = frobenius_oracle(basis)
@@ -306,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_element_args(p)
     p.add_argument(
         "--algorithm",
-        choices=("residue", "paper", "oracle", "sequential"),
+        choices=_ALGORITHM_NAMES,
         default=None,
         help="residues mod a1 (Rødseth's formula for three generators, else the residue"
         " table), the paper's descent scan, the grown sieve table, or the indicator scan;"

@@ -63,7 +63,7 @@ def random_basis(rng: Lcg, *, max_element: int = 200, max_arity: int = 5) -> Bas
 def random_bases(
     seed: int, count: int, *, max_element: int = 200, max_arity: int = 5
 ) -> Iterator[Basis]:
-    """count bases from one seeded stream, as verify --seed would draw them."""
+    """count bases from one seeded stream: the bases verify --seed draws."""
     if count < 0:
         raise InvalidInputError(f"count must be nonnegative, got {count}")
     rng = Lcg(seed)

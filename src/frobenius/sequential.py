@@ -319,18 +319,6 @@ def _over_budget(R: int) -> ResourceLimitError:
     return ResourceLimitError(f"zero test of h({R}) exceeds {SEARCH_CAP} steps")
 
 
-def delta(i: int, basis: Basis) -> int:
-    """1 if i is NOT representable over the basis, 0 if it is.
-
-    Defined for 1 <= i <= scan_upper_bound (everything above that bound
-    is representable, so the question only makes sense below it).
-    """
-    upper = scan_upper_bound(basis)
-    if not 1 <= i <= upper:
-        raise InvalidInputError(f"delta index {i} outside [1, {upper}]")
-    return 0 if h_is_zero(i, basis) else 1
-
-
 def delta_scan(basis: Basis) -> tuple[int, int]:
     """(largest i with delta_i = 1, number of indices examined).
 
@@ -392,15 +380,14 @@ def _descend(basis: Basis, low: int, proof: Callable[[int], int]) -> tuple[int, 
 class SequentialTrace:
     """Full delta vector plus the literal telescoping-sum evaluation.
 
-    deltas[i - 1] is delta_i for i in [1, upper].  result is the sum
-    evaluated term by term with the N guard products, not a shortcut.
-    h_values, when requested, holds h_general(i) for the same indices.
+    deltas[i - 1] is delta_i for i in [1, upper]: 1 when i is not
+    representable, 0 when it is.  result is the sum evaluated term by term
+    with the N guard products, not a shortcut.
     """
 
     upper: int
     deltas: tuple[int, ...]
     result: int
-    h_values: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.upper >= 0 and len(self.deltas) != self.upper:
@@ -409,20 +396,16 @@ class SequentialTrace:
             )
         if any(d not in (0, 1) for d in self.deltas):
             raise InvalidInputError("deltas must be 0 or 1")
-        if self.h_values is not None and len(self.h_values) != len(self.deltas):
-            raise InvalidInputError("h_values must align with deltas")
 
 
-def sequential_trace(basis: Basis, *, include_h_values: bool = False) -> SequentialTrace:
+def sequential_trace(basis: Basis) -> SequentialTrace:
     """Tabulate every delta in [1, upper] and evaluate the sum literally.
 
     A scan bound above TRACE_CAP is refused (ResourceLimitError) before
     anything is tabulated.  Ascending, the first zero of each residue
     class mod a1 settles every later index of that class without a test
-    (see the module docstring).  include_h_values also records the exact
-    h of every index; fine for small bases, combinatorially expensive for
-    large non-representable indices at higher arities, where h_general
-    raises ResourceLimitError past its budget.
+    (see the module docstring).  Each delta comes from h's zero test, not
+    from h itself; h_general gives the exact value of one index.
     """
     upper = scan_upper_bound(basis)
     if upper < 1:
@@ -447,7 +430,4 @@ def sequential_trace(basis: Basis, *, include_h_values: bool = False) -> Sequent
         d = deltas[i - 1]
         total += i * d * guard
         guard *= n_indicator(d)
-    h_values = None
-    if include_h_values:
-        h_values = tuple(h_general(i, basis) for i in range(1, upper + 1))
-    return SequentialTrace(upper=upper, deltas=tuple(deltas), result=total, h_values=h_values)
+    return SequentialTrace(upper=upper, deltas=tuple(deltas), result=total)

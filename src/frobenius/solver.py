@@ -56,6 +56,9 @@ from .sequential import _descend, _zero_test
 
 ALGORITHM_TAGS = ("residue", "paper-descent", "oracle", "sequential", "closed-form")
 
+# The names frobenius() takes besides None, in compute --algorithm's order.
+_ALGORITHM_NAMES = ("residue", "paper", "oracle", "sequential")
+
 # Sieve words (oracle._pass_cost) taken to cost as much as one step of the
 # residue table (one residue of one generator's round-robin insertion).
 # Measured (Python 3.11, x86-64 server): 230-330 ns per table step, and
@@ -146,7 +149,7 @@ def frobenius(basis: Basis, algorithm: str | None = None) -> FrobeniusResult:
     and builds the table otherwise.  The result's tag says which ran:
     "oracle" for the sieve, "residue" for the table.
     """
-    if algorithm not in (None, "residue", "paper", "oracle", "sequential"):
+    if algorithm is not None and algorithm not in _ALGORITHM_NAMES:
         raise InvalidInputError(f"unknown algorithm {algorithm!r}")
     if basis.contains_one:
         return FrobeniusResult(-1, -1, 0, "closed-form")

@@ -25,7 +25,6 @@ from frobenius import (
     OutOfEnvelopeError,
     REFERENCE_CASES,
     bound_report,
-    delta,
     f_indicator,
     fibonacci_triple_elements,
     frobenius_arithmetic,
@@ -43,6 +42,7 @@ from frobenius import (
     normalize_basis,
     random_bases,
     scan_upper_bound,
+    sequential_trace,
     sieve,
 )
 from frobenius.cli import main
@@ -251,11 +251,12 @@ def test_criterion_7_determinism_and_exactness(capsys):
     # Exactness audit: every indicator-path value is an int or a Fraction.
     exact = True
     b = normalize_basis([3, 5, 7])
+    deltas = sequential_trace(b).deltas
     for R in range(1, 12):
         fv = f_indicator(3, R)
         hv = h_two(R, 3, 5)
         gv = h_general(R, b)
-        dv = delta(R, b) if R <= scan_upper_bound(b) else 0
+        dv = deltas[R - 1] if R <= len(deltas) else 0
         for v in (fv, dv):
             exact = exact and isinstance(v, int) and not isinstance(v, bool)
         for v in (hv, gv):

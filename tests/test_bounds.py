@@ -11,7 +11,6 @@ from frobenius import (
     ArityError,
     Basis,
     Lcg,
-    beck_vacuous,
     bound_beck,
     bound_erdos_graham,
     bound_report,
@@ -23,7 +22,6 @@ from frobenius import (
     is_independent,
     normalize_basis,
     random_basis,
-    selmer_vacuous,
 )
 
 
@@ -83,15 +81,15 @@ def test_erdos_graham_exact_for_two_generators_with_odd_larger():
 
 
 def test_selmer_vacuity_small_first_element():
-    assert selmer_vacuous(normalize_basis([2, 3, 5]))  # 2 // 3 == 0
-    assert not selmer_vacuous(normalize_basis([7, 11, 13]))
+    assert bound_report(normalize_basis([2, 3, 5])).selmer_vacuous  # 2 // 3 == 0
+    assert not bound_report(normalize_basis([7, 11, 13])).selmer_vacuous
 
 
 def test_selmer_vacuity_dependent_system():
     # 104 = 26 * 4 inflates the arity; the bound then undershoots the answer.
     b = normalize_basis([4, 81, 104])
     assert not is_independent(b)
-    assert selmer_vacuous(b)
+    assert bound_report(b).selmer_vacuous
     assert bound_selmer(b) == 204
     assert frobenius_oracle(b) == 239  # bound < answer: why the flag exists
 
@@ -101,20 +99,19 @@ def test_beck_vacuity_dependent_system():
     # answer 23 * 269 - 23 - 269 = 5895, above the formula value ~4735.
     b = normalize_basis([23, 46, 269])
     assert not is_independent(b)
-    assert beck_vacuous(b)
+    assert bound_report(b).beck_vacuous
     assert bound_beck(b) < 4735
     assert frobenius_oracle(b) == 5895
-    assert not beck_vacuous(normalize_basis([7, 11, 13]))
-    assert beck_vacuous(normalize_basis([3, 5]))  # arity alone
+    assert not bound_report(normalize_basis([7, 11, 13])).beck_vacuous
+    assert bound_report(normalize_basis([3, 5])).beck_vacuous  # arity alone
 
 
 def test_vacuity_flags_over_the_table_cap_are_the_reports():
     # The residue table is refused here, so independence is unknown and
-    # bound_report flags both bounds vacuous; the two functions agree.
+    # bound_report flags both bounds vacuous.
     b = Basis(tuple(2**24 + k for k in range(1, 5)))
     r = bound_report(b)
     assert r.chain is None and r.selmer_vacuous and r.beck_vacuous
-    assert selmer_vacuous(b) and beck_vacuous(b)
 
 
 def test_chain_examples():

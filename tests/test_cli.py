@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from frobenius import RESIDUE_CAP, ResidueTable
+from frobenius import RESIDUE_CAP, ResidueTable, ResourceLimitError
 from frobenius.cli import build_parser, main, parse_int_stream
 from frobenius.solver import FrobeniusResult, frobenius
 
@@ -210,6 +210,32 @@ def test_compute_check_disagreement_exits_2(capsys, monkeypatch):
     code, _, err = run_cli(["compute", "7", "11", "13", "--check"], capsys)
     assert code == 2
     assert "internal disagreement" in err
+
+
+def test_compute_check_past_the_sieve_cap_uses_the_table(capsys):
+    # F + a1 is about 2e9 bits, over the sieve's cap; Rødseth's formula
+    # gave the answer, so the residue table checks it.
+    code, out, _ = run_cli(["compute", "--check", "--json", "100003", "100019", "100043"], capsys)
+    rec = json.loads(out)
+    assert code == 0 and rec["result"] == 2001060054 and rec["algorithm"] == "residue"
+    assert rec["verified_against_oracle"] is True
+
+
+def test_compute_check_never_checks_the_table_with_itself(capsys, monkeypatch):
+    def refused(basis):
+        raise ResourceLimitError("limit exceeds cap")
+
+    monkeypatch.setattr("frobenius.cli.frobenius_oracle", refused)
+    for algo in ("residue", "paper", "sequential"):
+        argv = ["compute", "--algorithm", algo, "--check", "--json", "7", "11", "13"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and json.loads(out)["verified_against_oracle"] is True, algo
+    # On four generators a "residue" answer is the table's: no checker is left.
+    four = ["--check", "7", "11", "13", "17"]
+    code, _, err = run_cli(["compute", "--algorithm", "residue", *four], capsys)
+    assert code == 1 and err == "error: limit exceeds cap\n"
+    code, out, _ = run_cli(["compute", "--algorithm", "paper", *four], capsys)
+    assert code == 0 and out == "23\n"
 
 
 def test_table1_all_rows_ok(capsys):

@@ -15,7 +15,6 @@ from frobenius import (
     InvalidInputError,
     ResourceLimitError,
     SequentialTrace,
-    delta,
     delta_scan,
     f_indicator,
     frobenius_descent,
@@ -198,12 +197,13 @@ def test_h_general_budget_refuses_promptly():
 
 
 def test_delta_polarity_and_range():
-    b = normalize_basis([3, 5])
-    assert [delta(i, b) for i in range(1, 8)] == [1, 1, 0, 1, 0, 0, 1]
-    with pytest.raises(InvalidInputError):
-        delta(0, b)
-    with pytest.raises(InvalidInputError):
-        delta(8, b)
+    # delta_i is 1 exactly when i is not representable, for i in [1, U].
+    for es in ([3, 5], [4, 6, 9], [7, 11, 13], [5, 8, 9, 12], [6, 10, 15]):
+        b = normalize_basis(es)
+        tr = sequential_trace(b)
+        assert tr.upper == scan_upper_bound(b), es
+        holes = tuple(int(not brute_representable(i, b.elements)) for i in range(1, tr.upper + 1))
+        assert tr.deltas == holes, es
 
 
 def test_delta_scan_examples():
@@ -218,16 +218,6 @@ def test_trace_example():
     assert tr.upper == 7
     assert tr.deltas == (1, 1, 0, 1, 0, 0, 1)
     assert tr.result == 7
-    assert tr.h_values is None
-
-
-def test_trace_with_h_values():
-    tr = sequential_trace(normalize_basis([3, 5]), include_h_values=True)
-    assert tr.h_values is not None
-    assert len(tr.h_values) == 7
-    assert tr.h_values[6] == -2  # h at R = 7
-    assert tr.h_values[2] == 0  # h at R = 3
-    assert all(isinstance(v, Fraction) for v in tr.h_values)
 
 
 def test_trace_tiny_and_degenerate_bases():
@@ -394,5 +384,3 @@ def test_trace_validation():
         SequentialTrace(upper=3, deltas=(1, 0), result=1)
     with pytest.raises(InvalidInputError):
         SequentialTrace(upper=2, deltas=(1, 2), result=1)
-    with pytest.raises(InvalidInputError):
-        SequentialTrace(upper=2, deltas=(1, 0), result=1, h_values=(Fraction(1),))
