@@ -274,8 +274,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_hasrep(args: argparse.Namespace) -> int:
     basis = _gather_basis(args)
-    if args.target < 0:
-        raise InvalidInputError(f"target must be nonnegative, got {args.target}")
     witness = find_witness(args.target, basis)
     representable = witness is not None
     if args.json:

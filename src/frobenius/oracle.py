@@ -14,10 +14,13 @@ The table is grown until it proves its own answer.  Once a1 consecutive
 integers ending at the limit L are representable, so is every integer
 above L (add copies of a1), and the Frobenius number is the highest hole
 below L: this is the fact behind Nijenhuis's residue table (Amer. Math.
-Monthly 86, 1979).  So the first pass sieves to
-L = max(2 * a_n, _FIRST_LIMIT), or higher when a count of residues
-shows that no smaller L can end in a1 set bits (_least_window_end), and
-each later pass to 2L, until the top a1 bits are all set.  Sieving a table of L bits costs about L/64 machine
+Monthly 86, 1979).  So the first pass sieves to L = _FIRST_LIMIT, or
+higher when a count of residues shows that no smaller L can end in a1
+set bits (_least_window_end), and each later pass to 2L, until the top
+a1 bits are all set.  L need not reach a_n: a generator above L cannot
+change a bit below it, and the sieve stops at the first such generator.
+The top a1 bits still fit: when a1 > _FIRST_LIMIT, _least_window_end
+is at least a2.  Sieving a table of L bits costs about L/64 machine
 words per shift, so the passes before the last at most double the cost.
 L never passes U + a1, where U is Brauer's telescoping bound
 (scan_upper_bound in the basis module): every integer above U is
@@ -42,10 +45,11 @@ from .residue import is_independent  # noqa: F401
 # query.  The descent and sequential scans are held to the same bound.
 DEFAULT_LIMIT_CAP = 10**9
 
-# The least first limit of a grown table.  Below a few thousand bits the
-# interpreter's cost per shift outweighs the bits shifted, and restarting
-# from 2 * a_n lost to one sieve to U on small bases (6.5 against 4.9 us
-# per basis with elements up to 60, Python 3.11 on an x86-64 server).
+# The first limit of a grown table; only _least_window_end raises it, not
+# a_n.  Below a few thousand bits the interpreter's cost per shift
+# outweighs the bits shifted: starting from 2 * a_n lost to one sieve to U
+# on small bases (6.5 against 4.9 us per basis with elements up to 60,
+# Python 3.11 on an x86-64 server).
 _FIRST_LIMIT = 2**12
 
 
@@ -67,13 +71,8 @@ class RepresentabilityTable:
 
     def gaps(self) -> tuple[int, ...]:
         """All non-representable integers in the table, ascending."""
-        hole = self.holes()
-        out = []
-        while hole:
-            low = hole & -hole
-            out.append(low.bit_length() - 1)
-            hole ^= low
-        return tuple(out)
+        digits = bin(self.holes())[:1:-1]  # digits[i] is bit i
+        return tuple(i for i, bit in enumerate(digits) if bit == "1")
 
 
 def sieve(basis: Basis, limit: int) -> RepresentabilityTable:
@@ -134,7 +133,7 @@ def _grown_table(basis: Basis, *, budget: int | None = None) -> Representability
     """
     a1 = basis.elements[0]
     top = scan_upper_bound(basis) + a1
-    limit = min(top, max(2 * basis.elements[-1], _FIRST_LIMIT))
+    limit = min(top, _FIRST_LIMIT)
     if limit < top:
         limit = min(top, max(limit, _least_window_end(basis)))
     spent = 0

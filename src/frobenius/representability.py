@@ -24,23 +24,23 @@ data are computed once per basis.
 The search is one depth-first walk with an explicit stack, so a basis
 of any length needs no recursion.  It owns a memo of the (target, prefix
 length) pairs that failed, valid for its basis only: the descent builds
-one search per scan, has_rep one per call.  Each level tries its k in
-ascending order, so the path the walk ends on is a witness with the
+one search per scan, find_witness one per call.  Each level tries its k
+in ascending order, so the path the walk ends on is a witness with the
 smallest possible count of a_n, then of a_{n-1} given that, and so on
-down to the pair: has_rep and find_witness are the same search.
+down to the pair: has_rep is whether find_witness finds one.
 
 Every search is budgeted: more than SEARCH_CAP stripping steps (k values
 tried, at any level) end it.  See SEARCH_CAP for the step counts
-measured on the package's own inputs.  has_rep and find_witness then
-answer from the grown sieve table (oracle module), which is bounded by
-its own bit cap instead: on a wide basis that table is small, since it
-needs only about F + a1 bits.
+measured on the package's own inputs.  find_witness then answers from
+the grown sieve table (oracle module), which is bounded by its own bit
+cap instead: on a wide basis that table is small, since it needs only
+about F + a1 bits.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Callable, Sequence
+from typing import Callable
 
 from .basis import Basis, RepresentationWitness
 from .errors import InvalidInputError, ResourceLimitError
@@ -88,9 +88,7 @@ def has_rep(a: int, basis: Basis) -> bool:
 
     Past SEARCH_CAP steps the grown sieve table answers.
     """
-    if a < 0:
-        raise InvalidInputError(f"target must be nonnegative, got {a}")
-    return _coefficients(a, basis) is not None
+    return find_witness(a, basis) is not None
 
 
 def find_witness(a: int, basis: Basis) -> RepresentationWitness | None:
@@ -103,21 +101,16 @@ def find_witness(a: int, basis: Basis) -> RepresentationWitness | None:
     """
     if a < 0:
         raise InvalidInputError(f"target must be nonnegative, got {a}")
-    coeffs = _coefficients(a, basis)
+    try:
+        coeffs = _searcher(basis)(a)
+    except ResourceLimitError as search_error:
+        try:
+            coeffs = _sieve_witness(a, basis)
+        except ResourceLimitError as sieve_error:
+            raise ResourceLimitError(f"{search_error}, and the sieve {sieve_error}") from None
     if coeffs is None:
         return None
     return RepresentationWitness(basis=basis, coefficients=tuple(coeffs), target=a)
-
-
-def _coefficients(a: int, basis: Basis) -> Sequence[int] | None:
-    """The search's witness for a, or the sieve's once the search is over budget."""
-    try:
-        return _searcher(basis)(a)
-    except ResourceLimitError as search_error:
-        try:
-            return _sieve_witness(a, basis)
-        except ResourceLimitError as sieve_error:
-            raise ResourceLimitError(f"{search_error}, and the sieve {sieve_error}") from None
 
 
 def _searcher(basis: Basis) -> Callable[[int], list[int] | None]:
@@ -146,11 +139,8 @@ def _searcher(basis: Basis) -> Callable[[int], list[int] | None]:
     def search(target: int) -> list[int] | None:
         steps = 0
         if n == 2:
-            if target % g:
-                return None
-            y = target // g
-            m = y * inv_b2 % b1
-            return [(y - m * b2) // b1, m] if m * b2 <= y else None
+            m = target * inv_b2 % b1
+            return [(target - m * b2) // b1, m] if m * b2 <= target else None
         stack: list[list[int]] = []  # [target, level, current remainder] for levels >= 4
         x, j = target, n
         while True:

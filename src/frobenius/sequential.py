@@ -35,15 +35,20 @@ for all the shorter prefixes:
               with R - i*a_j > 0.
 
 When a_j > R only i = 0 is left, so Z(R, j) = Z(R, j - 1) and the test
-drops straight to the longest prefix whose top is at most R.  The pair's
-Z is h_two's own zero condition, b1 | R - m*b2 for some m <= R//b2: with
-g = gcd(b1, b2), the smallest such m is (R/g) * (b2/g)^-1 mod (b1/g), and
-it must satisfy m*b2 <= R.  g, b1/g, b2/g and that inverse are computed
-once per basis.  The test is one depth-first walk with an explicit stack,
-so a basis of any length needs no recursion.  It owns a memo of (R, j)
-answers, zero and nonzero, valid for its basis only: the scans build one
-test per scan, h_is_zero one per call.  It is derived apart from the
-representability module on purpose: the two agreeing is a check.
+drops straight to the longest prefix whose top is at most R; below a1
+no prefix is left, and Z is false.  The pair's Z is h_two's own zero
+condition, b1 | R - m*b2 for some m <= R//b2: with g = gcd(b1, b2), the
+smallest such m is (R/g) * (b2/g)^-1 mod (b1/g), and it must satisfy
+m*b2 <= R.  So Z(R, 2) needs g | R, and by induction Z(R, j) needs
+d_j = gcd(a_1, ..., a_j) to divide R: if a_j | R, then d_j | R;
+otherwise d_{j-1} | R - i*a_j, and d_j divides both terms.  The test
+answers false at once where d_j does not divide R.  The d_j, b1/g, b2/g
+and that inverse are computed once per basis.  The test is one
+depth-first walk with an explicit stack, so a basis of any length needs
+no recursion.  It owns a memo of (R, j) answers, zero and nonzero, valid
+for its basis only: the scans build one test per scan, h_is_zero one per
+call.  It is derived apart from the representability module on purpose:
+the two agreeing is a check.
 
 The scans settle most indices without a test, by residue class mod a1.
 The walk they share, _descend, keeps least[r], the least number it has
@@ -230,7 +235,7 @@ def h_is_zero(R: int, basis: Basis) -> bool:
 
 
 def _zero_test(basis: Basis) -> Callable[[int], int]:
-    """Z(R, n) over basis, with the pair's data computed once.
+    """Z(R, n) over basis, with the prefix gcds and the pair's data computed once.
 
     The returned function maps R >= 1 to -1 when h(R) is nonzero, else
     to a slack s >= 0 such that h(R - k*a1) is 0 for every k <= s (the
@@ -240,15 +245,16 @@ def _zero_test(basis: Basis) -> Callable[[int], int]:
     """
     es = basis.elements
     n = len(es)
-    g = gcd(es[0], es[1])
+    d = [0] * (n + 1)  # d[j]: gcd of the first j elements
+    for j, e in enumerate(es, start=1):
+        d[j] = gcd(d[j - 1], e)
+    g = d[2]
     b1, b2 = es[0] // g, es[1] // g
     inv_b2 = pow(b2, -1, b1)
     memo: dict[tuple[int, int], bool] = {}
 
     def pair_slack(x: int) -> int:
         # b1 | y - m*b2 with m*b2 <= y holds for y - k*b1, k <= (y - m*b2)/b1.
-        if x % g:
-            return -1
         y = x // g
         mb2 = y * inv_b2 % b1 * b2
         return (y - mb2) // b1 if mb2 <= y else -1
@@ -260,7 +266,9 @@ def _zero_test(basis: Basis) -> Callable[[int], int]:
         while True:
             # Decide Z(x, j), x >= 1, first dropping the levels whose top exceeds x.
             j = bisect_right(es, x, 0, j)
-            if j < 3:
+            if j == 0 or x % d[j]:
+                slack = -1
+            elif j < 3:
                 slack = pair_slack(x)
             else:
                 known = memo.get((x, j))

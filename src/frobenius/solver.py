@@ -76,9 +76,9 @@ class FrobeniusResult:
 
     value is -1 exactly when 1 is a generator; otherwise it is the largest
     integer with no nonnegative representation.  candidates_scanned counts
-    the candidates a scanning solver tested ("paper-descent", "sequential");
-    it is 0 for the residue table, the sieve and closed forms, which scan
-    nothing.
+    the candidates a scanning solver passed over ("paper-descent",
+    "sequential"), settled by a lookup or a test alike; it is 0 for the
+    residue table, the sieve and closed forms, which scan nothing.
     """
 
     value: int

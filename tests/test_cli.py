@@ -125,6 +125,12 @@ def test_verify_plain_and_exit_zero(capsys):
     assert out.strip() == "5/5 agree"
 
 
+def test_verify_count_zero_exits_1(capsys):
+    code, out, err = run_cli(["verify", "--count", "0"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: --count must be >= 1, got 0\n"
+
+
 def test_verify_json_is_byte_deterministic(capsys):
     argv = ["verify", "--count", "8", "--max", "80", "--arity", "4", "--seed", "42", "--json"]
     code1, out1, _ = run_cli(argv, capsys)
@@ -246,6 +252,20 @@ def test_table1_all_rows_ok(capsys):
     assert all(r["status"] == "ok" for r in rows)
     assert [r["computed"] for r in rows] == [30, 899, 27971, 71459, 3019, 3019, 426]
     assert rows[6]["n"] == 49
+    code, out, _ = run_cli(["table1"], capsys)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 7
+    assert all(line.split()[7] == "ok" for line in lines)
+
+
+def test_table1_reference_mismatch_exits_0(capsys, monkeypatch):
+    # A wrong published value is reported, not treated as a disagreement
+    # between the solvers.
+    monkeypatch.setattr("frobenius.cli.REFERENCE_CASES", (((7, 11, 13), 31),))
+    code, out, _ = run_cli(["table1", "--json"], capsys)
+    assert code == 0
+    row = json.loads(out)
+    assert (row["expected"], row["computed"], row["status"]) == (31, 30, "reference-mismatch")
 
 
 def test_bounds_plain(capsys):
@@ -256,6 +276,9 @@ def test_bounds_plain(capsys):
     assert "vitek         54" in out
     assert "tightest      selmer" in out
     assert "chain         59 30" in out
+    code, out, _ = run_cli(["bounds", "3", "5"], capsys)
+    assert code == 0
+    assert "beck          n/a (needs three generators)\n" in out
 
 
 def test_bounds_json_two_generators(capsys):
@@ -338,6 +361,11 @@ def test_hasrep_witness_coefficients_check_out(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["representable"] is False and rec["witness"] is None
+
+
+def test_hasrep_negative_target_exits_1(capsys):
+    code, out, err = run_cli(["hasrep", "-5", "3", "5"], capsys)
+    assert (code, out, err) == (1, "", "error: target must be nonnegative, got -5\n")
 
 
 def test_hasrep_on_more_generators_than_the_recursion_limit(capsys):

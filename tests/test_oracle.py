@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from time import perf_counter
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -178,9 +181,9 @@ any_small_basis = st.one_of(
 )
 
 
-# A first limit of 1 makes the grown table start at 2 * a_n (or at the
-# residue-count bound), so small bases go through several passes and stop
-# on the window test rather than at U + a1.
+# A first limit of 1 makes the grown table start at the residue-count
+# bound, so small bases go through several passes and stop on the window
+# test rather than at U + a1.
 @pytest.mark.parametrize("first_limit", [1, 2**12])
 @settings(max_examples=150, deadline=None)
 @given(any_small_basis)
@@ -194,11 +197,11 @@ def test_grown_table_matches_the_brute_oracles_and_the_residue_table(first_limit
         assert gaps(basis) == tuple(v for v in range(1, f + 1) if v not in reached)
 
 
-# F is one more than a pass limit L here, and the a1 - 1 integers below
-# L + 1 are all representable: a window test one bit short stops at L
-# and reports a smaller hole.
+# Some pass limit L here has its top a1 - 1 bits set and a hole just
+# below them: a window test one bit short stops at L and reports that
+# hole, below F.  Which bases have such an L depends on the start rule.
 @pytest.mark.parametrize("first_limit, es", [
-    (1, (4, 8, 13)), (1, (6, 12, 43)), (1, (10, 21, 32)),
+    (1, (4, 9, 13)), (1, (6, 13, 43)), (1, (8, 9, 60)),
     (2**12, (34, 384, 529)), (2**12, (5, 1248, 1783, 1823)),
 ])
 def test_the_window_is_a1_bits_wide(first_limit, es, monkeypatch):
@@ -246,3 +249,30 @@ def test_the_cap_applies_to_the_limit_reached(monkeypatch):
         frobenius_oracle(basis)
     with pytest.raises(ResourceLimitError):
         gaps(basis)
+
+
+def test_a_generator_far_above_the_rest_costs_nothing():
+    # The first pass is not sized by a_n: the sieve stops at a generator
+    # above its limit, which cannot change a bit below it.  A first pass
+    # of 2 * a_n bits would be over DEFAULT_LIMIT_CAP.
+    es = sorted(random.Random(0).sample(range(40000, 80000), 10)) + [600000001]
+    basis = Basis(tuple(es))
+    t0 = perf_counter()
+    value = frobenius_oracle(basis)
+    assert perf_counter() - t0 < 0.1
+    assert value == residue_table(basis).frobenius == 793996
+
+
+def test_gaps_read_the_whole_hole_mask_at_once():
+    # 147391 holes up to 200590 in 2**18 bits.  Clearing one hole at a
+    # time copies the big integer per hole, O(genus * F): 2.2 s on this
+    # basis (Python 3.11, x86-64 server).
+    basis = normalize_basis(random.Random(0).sample(range(3 * 10**4, 6 * 10**4), 40))
+    table = sieve(basis, 2**18)
+    data = table.bits.to_bytes(2**15 + 1, "little")
+    holes = tuple(v for v in range(2**18 + 1) if not data[v >> 3] >> (v & 7) & 1)
+    assert (len(holes), holes[-1]) == (147391, 200590)
+    t0 = perf_counter()
+    assert table.gaps() == holes
+    assert perf_counter() - t0 < 0.5
+    assert gaps(basis) == holes

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from frobenius import (
     REFERENCE_CASES,
+    Basis,
     InvalidInputError,
     ResourceLimitError,
     SequentialTrace,
     delta_scan,
     f_indicator,
+    frobenius,
     frobenius_descent,
     frobenius_oracle,
     gcd_all,
@@ -28,6 +30,7 @@ from frobenius import (
     n_indicator,
     normalize_basis,
     random_bases,
+    residue_table,
     scan_upper_bound,
     sequential_trace,
     sieve,
@@ -258,6 +261,20 @@ def test_scans_of_a_large_triple_settle_most_candidates_by_floor():
     assert perf_counter() - t0 < 0.8
     assert descent.value == sequential[0] == frobenius_oracle(basis)
     assert (descent.value, descent.candidates_scanned) == sequential == (178713, 871887)
+
+
+def test_zero_test_skips_non_multiples_of_the_prefix_gcd():
+    # a_j = 2**k - 2**(k - j): the prefix gcds halve from a1 = 2**(k - 1)
+    # down to 1.  A zero test that walks the remainders a level's prefix
+    # gcd rules out takes more than SEARCH_CAP steps at the first
+    # candidate, x = U.
+    for k in (18, 20):
+        basis = Basis(tuple(2**k - 2**(k - i) for i in range(1, k + 1)))
+        expected = frobenius_oracle(basis)
+        assert frobenius(basis, "sequential").value == expected, k
+        assert frobenius(basis, "paper").value == expected, k
+        if k == 18:
+            assert expected == residue_table(basis).frobenius == 4194305
 
 
 def test_delta_scan_refuses_a_bound_over_the_cap():

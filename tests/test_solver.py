@@ -154,6 +154,7 @@ def test_dispatcher_rejects_unknown_algorithm():
 def test_sequential_direct_entry_handles_two_generators():
     r = frobenius_sequential(normalize_basis([2, 3]))
     assert (r.value, r.algorithm) == (1, "sequential")
+    assert frobenius_sequential(Basis((1, 5))).value == -1
 
 
 def test_result_invariants_enforced():
