@@ -49,12 +49,13 @@ from .oracle import (
     RepresentabilityTable,
     frobenius_oracle,
     gaps,
+    is_independent,
     sieve,
 )
 from .randgen import LCG_INCREMENT, LCG_MULTIPLIER, Lcg, random_bases, random_basis
 from .reference import REFERENCE_CASES
 from .representability import find_witness, has_rep, has_rep_two
-from .residue import RESIDUE_CAP, ResidueTable, is_independent, residue_table
+from .residue import RESIDUE_CAP, ResidueTable, residue_table
 from .sequential import (
     TRACE_CAP,
     SequentialTrace,

@@ -23,11 +23,34 @@ hold; none is sharp in general.
 
 chain_bounds tracks the answer itself along basis prefixes: each prefix
 adds a generator, so the sequence never increases.  The chain and the
-independence behind both vacuity flags come from one residue table
-(residue module).  bound_report builds that table once; when the table is
-refused as too large, the report still carries the four bounds, with no
-chain (None) and selmer and beck flagged vacuous, since independence is
-then unknown.
+independence behind both vacuity flags come from oracle.prefix_table,
+once per report.  On four or more generators it reads both off one
+ascending sieve when that is projected to cost less than the residue
+table (the default solver's cost rule, oracle._table_budget), and builds
+the table otherwise; on two or three generators it builds the table.
+Write F_k for the Frobenius number of the first k generators.  The sieve
+starts at the limit L = F_m + a1, m the shortest prefix of three or more
+generators with gcd 1, and after each later prefix k whose generator it
+adds, cuts L to F_k + a1.  Two facts make that one shrinking window
+serve every prefix and every generator:
+
+- Every independent generator e is at most F_j + a1, for every prefix j
+  with gcd 1, and so at most L.  A sum for e - a1 can use only
+  generators below e, and with one more a1 it would be a sum for e.  So
+  e - a1 is a gap of every such prefix: e - a1 <= F_j.  Hence a generator
+  above L is redundant, and one at or below L is redundant exactly when
+  its bit is already set when it is reached in ascending order.
+- After prefix k > m, F_k is the highest hole up to L.  A longer prefix
+  has no more gaps, so F_k <= F_{k-1} = L - a1.  The bits up to L stay
+  exact however L shrank: every partial sum of a sum up to L is itself
+  up to L, and a generator above L cannot change them.
+
+The entries before m come without the sieve: the pair's from a1*a2 - a1 -
+a2, or None while the prefix gcd exceeds 1.
+
+When the table is refused as too large too, the report still carries the
+four bounds, with no chain (None) and selmer and beck flagged vacuous,
+since independence is then unknown.
 """
 
 from __future__ import annotations
@@ -38,7 +61,8 @@ from math import isqrt
 
 from .basis import Basis
 from .errors import ArityError, ResourceLimitError
-from .residue import ResidueTable, residue_table
+from .oracle import prefix_table
+from .residue import ResidueTable
 
 BOUND_NAMES = ("erdos-graham", "selmer", "vitek", "beck")
 
@@ -78,9 +102,10 @@ def chain_bounds(basis: Basis) -> tuple[int | None, ...]:
     Entries are None while the prefix gcd exceeds 1 (no finite answer yet)
     and -1 when the prefix contains 1.  Once a prefix reaches gcd 1 every
     later entry is defined, and the defined entries never increase; the
-    last one is the answer for the full basis.
+    last one is the answer for the full basis.  Raises ResourceLimitError
+    where prefix_table falls back to a residue table over its caps.
     """
-    return residue_table(basis).chain
+    return prefix_table(basis).chain
 
 
 @dataclass(frozen=True)
@@ -88,7 +113,8 @@ class BoundReport:
     """All four bounds, their vacuity flags, the prefix chain, and which
     non-vacuous bound is tightest (ties broken in BOUND_NAMES order).
 
-    chain is None when the residue table it comes from is over its cap.
+    chain is None when prefix_table falls back to a residue table over its
+    caps.
     """
 
     basis: Basis
@@ -109,10 +135,10 @@ def bound_report(basis: Basis) -> BoundReport:
     vit = bound_vitek(basis)
     vit_vac = basis.n < 3
     # Both selmer and beck go vacuous on dependent systems, and on systems
-    # whose independence is unknown; one table serves both and the chain.
+    # whose independence is unknown; one prefix table serves both and the chain.
     table: ResidueTable | None
     try:
-        table = residue_table(basis)
+        table = prefix_table(basis)
     except ResourceLimitError:
         table = None
     indep = table is not None and table.independent

@@ -29,17 +29,24 @@ pass costs no more than a sieve to U.  A table needs about F + a1 bits,
 not U, which is far smaller on wide bases: at a1 = 10^5 with 200
 generators U is about 10^10, beyond DEFAULT_LIMIT_CAP, where F + a1 is
 a few million.
+
+prefix_table reads every prefix's Frobenius number and each generator's
+redundancy off one ascending sieve whose limit shrinks with the prefix
+Frobenius numbers (the bounds module docstring derives its window).  It
+and the default solver share one cost rule, _table_budget: a sieve is
+run while _pass_cost projects it within the residue table's cost, and
+the table is built otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 
 from .basis import Basis, scan_upper_bound
+from .closed_forms import frobenius_three
 from .errors import InvalidInputError, ResourceLimitError
-# Not used here: perfbench/tracer.py resolves oracle.is_independent by name.
-from .residue import is_independent  # noqa: F401
+from .residue import ResidueTable, residue_table
 
 # A table this size is ~125 MB of bits; anything larger is a mistake, not a
 # query.  The descent and sequential scans are held to the same bound.
@@ -51,6 +58,16 @@ DEFAULT_LIMIT_CAP = 10**9
 # on small bases (6.5 against 4.9 us per basis with elements up to 60,
 # Python 3.11 on an x86-64 server).
 _FIRST_LIMIT = 2**12
+
+# Sieve words (_pass_cost) taken to cost as much as one step of the
+# residue table (one residue of one generator's round-robin insertion).
+# Measured (Python 3.11, x86-64 server): 230-330 ns per table step, and
+# 4-7 ns per projected word on sieves of 10^5 bits and up, 9-10 ns on
+# 4096 bits; the ratio ran from 30 to 87, about 60 on large tables.  At
+# 40 the sieve is kept only where it is projected to be clearly cheaper,
+# and the passes run before it is given up cost at most about two thirds
+# of the table's time.
+_WORDS_PER_TABLE_STEP = 40
 
 
 @dataclass(frozen=True)
@@ -86,13 +103,19 @@ def sieve(basis: Basis, limit: int) -> RepresentabilityTable:
     for a in basis:
         if a > limit:
             break
-        if bits >> a & 1:
-            continue  # a sum of smaller generators
-        step = a
-        while step <= limit:
-            bits |= (bits << step) & mask
-            step <<= 1
+        if not bits >> a & 1:  # else a is a sum of smaller generators
+            bits = _close(bits, a, mask)
     return RepresentabilityTable(limit=limit, bits=bits)
+
+
+def _close(bits: int, a: int, mask: int) -> int:
+    """bits closed under adding a, below the limit that mask (all ones) ends at."""
+    limit = mask.bit_length() - 1
+    step = a
+    while step <= limit:
+        bits |= (bits << step) & mask
+        step <<= 1
+    return bits
 
 
 def _pass_cost(basis: Basis, limit: int) -> int:
@@ -101,6 +124,14 @@ def _pass_cost(basis: Basis, limit: int) -> int:
     Each generator takes about log2(limit / a1) shifts of limit/64 words.
     """
     return ((limit >> 6) + 1) * basis.n * (limit // basis.elements[0]).bit_length()
+
+
+def _table_budget(basis: Basis) -> int:
+    """The residue table's cost, a1 * (n - 1) steps, in _pass_cost words.
+
+    A sieve is run only while its projected words stay within it.
+    """
+    return basis.elements[0] * (basis.n - 1) * _WORDS_PER_TABLE_STEP
 
 
 def _least_window_end(basis: Basis) -> int:
@@ -146,6 +177,80 @@ def _grown_table(basis: Basis, *, budget: int | None = None) -> Representability
         if limit == top or table.bits >> (limit - a1 + 1) == (1 << a1) - 1:
             return table
         limit = min(2 * limit, top)
+
+
+def prefix_table(basis: Basis) -> ResidueTable:
+    """Each prefix's Frobenius number and each generator's redundancy.
+
+    On four or more generators both are read off one ascending sieve
+    whose limit shrinks with the prefix Frobenius numbers (the window
+    facts are derived in the bounds module docstring), when _pass_cost
+    projects it within the residue table's budget.  Otherwise, and on two
+    or three generators, they come from the residue table, which raises
+    ResourceLimitError over its caps.
+    """
+    table = _shrinking_sieve(basis) if basis.n >= 4 else None
+    return residue_table(basis) if table is None else table
+
+
+def _shrinking_sieve(basis: Basis) -> ResidueTable | None:
+    """prefix_table's sieve, or None when it is projected to cost more than the table.
+
+    The limit starts at F_m + a1, m the shortest prefix of three or more
+    generators with gcd 1, whose F comes from Rødseth's formula when m is
+    3 and otherwise from a budgeted grown table.  Not two: the pair's F
+    is about a1 * a2, far above F_3 on wide bases (10^10 against 10^7 at
+    a1 = 10^5 with 200 generators).  Each generator that is neither above
+    the limit nor already marked is sieved in; from prefix m + 1 on, the
+    highest hole is then that prefix's F and the limit is cut to it plus
+    a1.  The pair's entry comes from its closed form.
+    """
+    es = basis.elements
+    a1, a2 = es[0], es[1]
+    budget = _table_budget(basis)
+    m, d = 3, gcd(*es[:3])
+    while d > 1:
+        d = gcd(d, es[m])
+        m += 1
+    if m == 3:
+        f = frobenius_three(*es[:3])
+    else:
+        grown = _grown_table(Basis(es[:m]), budget=budget)
+        if grown is None:
+            return None
+        f = grown.holes().bit_length() - 1
+    limit = f + a1
+    if limit > DEFAULT_LIMIT_CAP or _pass_cost(basis, limit) > budget:
+        return None
+    mask = (1 << (limit + 1)) - 1
+    bits = _close(1, a1, mask)
+    chain: list[int | None] = [a1 * a2 - a1 - a2 if gcd(a1, a2) == 1 else None]
+    chain += [None] * (m - 3)
+    redundant = [False]
+    for k, e in enumerate(es[1:], 2):
+        skip = e > limit or bool(bits >> e & 1)
+        redundant.append(skip)
+        if not skip:
+            bits = _close(bits, e, mask)
+            if k > m:
+                f = (~bits & mask).bit_length() - 1
+                limit = f + a1
+                mask = (1 << (limit + 1)) - 1
+                bits &= mask
+        if k >= m:
+            chain.append(f)
+    return ResidueTable(tuple(chain), tuple(redundant))
+
+
+def is_independent(basis: Basis) -> bool:
+    """True iff no element is representable over the remaining elements.
+
+    A dependent (redundant) generator never changes the Frobenius number,
+    but some classical bounds silently assume it isn't there.  Read off
+    prefix_table, so it raises ResourceLimitError only where the residue
+    table it falls back to is over its caps.
+    """
+    return prefix_table(basis).independent
 
 
 def frobenius_oracle(basis: Basis) -> int:

@@ -42,7 +42,8 @@ _UNREACHED = 2**63 - 1
 
 @dataclass(frozen=True)
 class ResidueTable:
-    """What one insertion pass over a basis yields.
+    """What one insertion pass over a basis yields; oracle.prefix_table's
+    shrinking sieve yields the same.
 
     chain[k - 2] is the Frobenius number of the first k generators
     (k = 2..n), None while that prefix has gcd > 1.  redundant[i] is True
@@ -87,16 +88,6 @@ def residue_table(basis: Basis) -> ResidueTable:
             top = max(w)
         chain.append(None if top == _UNREACHED else top - m)
     return ResidueTable(tuple(chain), tuple(redundant))
-
-
-def is_independent(basis: Basis) -> bool:
-    """True iff no element is representable over the remaining elements.
-
-    A dependent (redundant) generator never changes the Frobenius number,
-    but some classical bounds silently assume it isn't there.  Read off the
-    residue table, so it is bounded by that table's cap.
-    """
-    return residue_table(basis).independent
 
 
 def _insert(w: array, a: int) -> None:

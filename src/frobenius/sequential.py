@@ -103,6 +103,7 @@ from . import oracle
 from .basis import Basis, scan_upper_bound
 from .errors import InvalidInputError, ResourceLimitError
 from .representability import SEARCH_CAP
+from .residue import RESIDUE_CAP
 
 TRACE_CAP = 2**17
 """Largest scan bound U that sequential_trace tabulates: 131072 entries.
@@ -118,6 +119,13 @@ the cost follows the gaps more than U: past the cap, U = 1050599
 ({1021, 1031, 1033}) took 2.2-2.4 s and 28.5 MiB (Python 3.11, one core
 of an x86-64 server).
 """
+
+# Bytes per residue class mod a1 of _descend's state before its first
+# test: a slot of least and a heap entry with its int.  Measured by peak
+# RSS on the halving bases (Python 3.11, 64-bit): 39 / 64 / 112 MiB at
+# a1 = 2^19 / 2^20 / 2^21.  The state is held to the residue table's own
+# 8 * RESIDUE_CAP bytes (128 MiB), so a1 up to about 2.8 million.
+_WALK_BYTES_PER_CLASS = 48
 
 
 def f_indicator(alpha: int, R: int) -> int:
@@ -351,12 +359,18 @@ def _descend(basis: Basis, low: int, proof: Callable[[int], int]) -> tuple[int, 
     x failing, so the first failure is the largest gap in [low, U].
     A heap of each open class's next candidate, at most min(a1, U - low + 1)
     entries, takes the largest first, in O(log a1).  U above
-    oracle.DEFAULT_LIMIT_CAP is refused.
+    oracle.DEFAULT_LIMIT_CAP is refused, and so is an a1 whose state would
+    pass the residue table's 8 * RESIDUE_CAP bytes, before any is built.
     """
     upper = scan_upper_bound(basis)
     if upper > oracle.DEFAULT_LIMIT_CAP:
         raise ResourceLimitError(f"scan bound {upper} exceeds cap {oracle.DEFAULT_LIMIT_CAP}")
     a1, *rest = basis.elements
+    if a1 * _WALK_BYTES_PER_CLASS > 8 * RESIDUE_CAP:
+        raise ResourceLimitError(
+            f"scan state of {a1} residue classes (about {a1 * _WALK_BYTES_PER_CLASS} bytes)"
+            f" exceeds cap {8 * RESIDUE_CAP} bytes"
+        )
     least = [upper + 1] * a1  # above every candidate: nothing proven yet
     least[0] = 0
     for a in rest:

@@ -25,7 +25,8 @@ Four solvers give the same answer by different means:
 - "sequential" is the floor-function indicator scan (sequential module).
 
 That walk (sequential._descend) refuses (ResourceLimitError) a scan
-bound above oracle.DEFAULT_LIMIT_CAP, the cap on a sieve table's bits.
+bound above oracle.DEFAULT_LIMIT_CAP, the cap on a sieve table's bits,
+and an a1 whose per-class state would pass the residue table's 128 MiB.
 
 frobenius() picks the algorithm and wraps the answer in a FrobeniusResult.
 Two-element bases short-circuit to the closed form a1*a2 - a1 - a2, and a
@@ -33,7 +34,7 @@ basis containing 1 short-circuits to -1, whatever algorithm was asked for.
 By default a triple takes Rødseth's formula.  On four or more generators
 the default chooses by cost: the residue table takes about a1 * (n - 1)
 steps of a Python loop, a sieve pass to L bits about L/64 machine words
-per shift at C speed, and _WORDS_PER_TABLE_STEP converts between them.
+per shift at C speed, and oracle._table_budget converts between them.
 The sieve grows while its passes, the next one included, are projected
 to cost less than the table; otherwise the table is built.  So wide
 bases (the table's cost grows with n, the sieve's mostly with F) take
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from .basis import Basis, scan_upper_bound
 from .closed_forms import frobenius_three
 from .errors import InvalidInputError
-from .oracle import _grown_table, frobenius_oracle
+from .oracle import _grown_table, _table_budget, frobenius_oracle
 from .representability import _searcher
 from .residue import residue_table
 from .sequential import _descend, _zero_test
@@ -58,16 +59,6 @@ ALGORITHM_TAGS = ("residue", "paper-descent", "oracle", "sequential", "closed-fo
 
 # The names frobenius() takes besides None, in compute --algorithm's order.
 _ALGORITHM_NAMES = ("residue", "paper", "oracle", "sequential")
-
-# Sieve words (oracle._pass_cost) taken to cost as much as one step of the
-# residue table (one residue of one generator's round-robin insertion).
-# Measured (Python 3.11, x86-64 server): 230-330 ns per table step, and
-# 4-7 ns per projected word on sieves of 10^5 bits and up, 9-10 ns on
-# 4096 bits; the ratio ran from 30 to 87, about 60 on large tables.  At
-# 40 the sieve is kept only where it is projected to be clearly cheaper,
-# and the passes run before it is given up cost at most about two thirds
-# of the table's time.
-_WORDS_PER_TABLE_STEP = 40
 
 
 @dataclass(frozen=True)
@@ -160,8 +151,7 @@ def frobenius(basis: Basis, algorithm: str | None = None) -> FrobeniusResult:
         if basis.n == 3:
             return FrobeniusResult(frobenius_three(*basis.elements), upper, 0, "residue")
         if algorithm is None:
-            budget = basis.elements[0] * (basis.n - 1) * _WORDS_PER_TABLE_STEP
-            table = _grown_table(basis, budget=budget)
+            table = _grown_table(basis, budget=_table_budget(basis))
             if table is not None:
                 value = table.holes().bit_length() - 1
                 return FrobeniusResult(value, upper, 0, "oracle")

@@ -277,6 +277,24 @@ def test_zero_test_skips_non_multiples_of_the_prefix_gcd():
             assert expected == residue_table(basis).frobenius == 4194305
 
 
+def test_scans_refuse_state_past_the_residue_tables_bytes():
+    # a1 = 3 * 2**23: least and the heap would take about 1.2 GB before the
+    # first test.  U = 855638017 is under the scan cap, so only the cap on
+    # that state, the residue table's 8 * RESIDUE_CAP bytes, refuses it.
+    basis = Basis(tuple([3 * 2**23] + [2**25 - 2**j for j in range(22, -1, -1)]))
+    assert scan_upper_bound(basis) == 855638017
+    for algorithm in ("paper", "sequential"):
+        t0 = perf_counter()
+        with pytest.raises(ResourceLimitError):
+            frobenius(basis, algorithm)
+        assert perf_counter() - t0 < 0.1
+    # The halving basis at k = 22 has a1 = 2**21, about 100 MB of state,
+    # and is still served.  frobenius_oracle gives the same value (1.7 s,
+    # outside this suite); it is (k - 2) * 2**k + 1, as at k = 18.
+    basis = Basis(tuple(2**22 - 2**(22 - i) for i in range(1, 23)))
+    assert frobenius(basis, "sequential").value == 20 * 2**22 + 1 == 83886081
+
+
 def test_delta_scan_refuses_a_bound_over_the_cap():
     basis = normalize_basis([100003, 100019, 100043])  # scan bound about 1.0e10
     t0 = perf_counter()
