@@ -13,129 +13,56 @@ with their vacuity conditions.  All arithmetic is exact (int and
 fractions.Fraction); the only approximate quantity anywhere is the
 square root inside one bound, replaced by a one-sided rational
 approximation.
+
+Importing the package loads none of its modules.  Each public name is
+looked up in _EXPORTS on first use (PEP 562), which imports only the
+module that defines it and what that module imports, so a caller that
+needs one solver does not load the others.  The command-line interface
+imports what each subcommand runs when it runs.
 """
 
-from .basis import Basis, RepresentationWitness, gcd_all, normalize_basis, scan_upper_bound
-from .bounds import (
-    BOUND_NAMES,
-    BoundReport,
-    bound_beck,
-    bound_erdos_graham,
-    bound_report,
-    bound_selmer,
-    bound_vitek,
-    chain_bounds,
-)
-from .closed_forms import (
-    FibonacciTripleParams,
-    fibonacci,
-    fibonacci_triple_elements,
-    frobenius_arithmetic,
-    frobenius_fibonacci_triple,
-    frobenius_three,
-    frobenius_two,
-)
-from .errors import (
-    ArityError,
-    FrobeniusError,
-    InvalidElementError,
-    InvalidInputError,
-    NonCoprimeError,
-    OutOfEnvelopeError,
-    ResourceLimitError,
-)
-from .oracle import (
-    DEFAULT_LIMIT_CAP,
-    RepresentabilityTable,
-    frobenius_oracle,
-    gaps,
-    is_independent,
-    sieve,
-)
-from .randgen import LCG_INCREMENT, LCG_MULTIPLIER, Lcg, random_bases, random_basis
-from .reference import REFERENCE_CASES
-from .representability import find_witness, has_rep, has_rep_two
-from .residue import RESIDUE_CAP, ResidueTable, residue_table
-from .sequential import (
-    TRACE_CAP,
-    SequentialTrace,
-    delta_scan,
-    f_indicator,
-    h_general,
-    h_is_zero,
-    h_two,
-    n_indicator,
-    sequential_trace,
-)
-from .solver import (
-    ALGORITHM_TAGS,
-    FrobeniusResult,
-    frobenius,
-    frobenius_descent,
-    frobenius_sequential,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALGORITHM_TAGS",
-    "ArityError",
-    "BOUND_NAMES",
-    "Basis",
-    "BoundReport",
-    "DEFAULT_LIMIT_CAP",
-    "FibonacciTripleParams",
-    "FrobeniusError",
-    "FrobeniusResult",
-    "InvalidElementError",
-    "InvalidInputError",
-    "LCG_INCREMENT",
-    "LCG_MULTIPLIER",
-    "Lcg",
-    "NonCoprimeError",
-    "OutOfEnvelopeError",
-    "REFERENCE_CASES",
-    "RESIDUE_CAP",
-    "RepresentabilityTable",
-    "RepresentationWitness",
-    "ResidueTable",
-    "ResourceLimitError",
-    "SequentialTrace",
-    "TRACE_CAP",
-    "bound_beck",
-    "bound_erdos_graham",
-    "bound_report",
-    "bound_selmer",
-    "bound_vitek",
-    "chain_bounds",
-    "delta_scan",
-    "f_indicator",
-    "fibonacci",
-    "fibonacci_triple_elements",
-    "find_witness",
-    "frobenius",
-    "frobenius_arithmetic",
-    "frobenius_descent",
-    "frobenius_fibonacci_triple",
-    "frobenius_oracle",
-    "frobenius_sequential",
-    "frobenius_three",
-    "frobenius_two",
-    "gaps",
-    "gcd_all",
-    "h_general",
-    "h_is_zero",
-    "h_two",
-    "has_rep",
-    "has_rep_two",
-    "is_independent",
-    "n_indicator",
-    "normalize_basis",
-    "random_bases",
-    "random_basis",
-    "residue_table",
-    "scan_upper_bound",
-    "sequential_trace",
-    "sieve",
-    "__version__",
-]
+# The module that defines each public name.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "basis": ("Basis", "RepresentationWitness", "gcd_all", "normalize_basis",
+                  "scan_upper_bound"),
+        "bounds": ("BOUND_NAMES", "BoundReport", "bound_beck", "bound_erdos_graham",
+                   "bound_report", "bound_selmer", "bound_vitek", "chain_bounds"),
+        "closed_forms": ("FibonacciTripleParams", "fibonacci", "fibonacci_triple_elements",
+                         "frobenius_arithmetic", "frobenius_fibonacci_triple",
+                         "frobenius_three", "frobenius_two"),
+        "errors": ("ArityError", "FrobeniusError", "InvalidElementError", "InvalidInputError",
+                   "NonCoprimeError", "OutOfEnvelopeError", "ResourceLimitError"),
+        "oracle": ("DEFAULT_LIMIT_CAP", "RepresentabilityTable", "frobenius_oracle", "gaps",
+                   "is_independent", "sieve"),
+        "randgen": ("LCG_INCREMENT", "LCG_MULTIPLIER", "Lcg", "random_bases", "random_basis"),
+        "reference": ("REFERENCE_CASES",),
+        "representability": ("find_witness", "has_rep", "has_rep_two"),
+        "residue": ("RESIDUE_CAP", "ResidueTable", "residue_table"),
+        "sequential": ("TRACE_CAP", "SequentialTrace", "delta_scan", "f_indicator", "h_general",
+                       "h_is_zero", "h_two", "n_indicator", "sequential_trace"),
+        "solver": ("ALGORITHM_TAGS", "FrobeniusResult", "frobenius", "frobenius_descent",
+                   "frobenius_sequential"),
+    }.items()
+    for name in names
+}
+
+__all__ = [*sorted(_EXPORTS), "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -24,10 +24,11 @@ hold; none is sharp in general.
 chain_bounds tracks the answer itself along basis prefixes: each prefix
 adds a generator, so the sequence never increases.  The chain and the
 independence behind both vacuity flags come from oracle.prefix_table,
-once per report.  On four or more generators it reads both off one
-ascending sieve when that is projected to cost less than the residue
-table (the default solver's cost rule, oracle._table_budget), and builds
-the table otherwise; on two or three generators it builds the table.
+once per report.  For a pair both come from its closed form, whatever its
+size.  On four or more generators it reads both off one ascending sieve
+when that is projected to cost less than the residue table (the default
+solver's cost rule, oracle._table_budget), and builds the table
+otherwise; on three generators it builds the table.
 Write F_k for the Frobenius number of the first k generators.  The sieve
 starts at the limit L = F_m + a1, m the shortest prefix of three or more
 generators with gcd 1, and after each later prefix k whose generator it

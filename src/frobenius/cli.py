@@ -15,6 +15,11 @@ so identical seeds give byte-identical output.
 
 Input files (--file) hold integers separated by whitespace, newlines, or
 commas; everything after # on a line is a comment.
+
+Only the standard library and the errors module are imported with this
+module.  Each subcommand imports the modules it runs when it runs, and
+the parser imports the solver's algorithm names when it is first built,
+so a call loads only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -24,23 +29,13 @@ import functools
 import json
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from .basis import Basis, normalize_basis
-from .bounds import BoundReport, bound_report
 from .errors import FrobeniusError, InvalidInputError, ResourceLimitError
-from .oracle import DEFAULT_LIMIT_CAP, frobenius_oracle
-from .randgen import random_bases
-from .reference import REFERENCE_CASES
-from .representability import find_witness
-from .residue import residue_table
-from .sequential import sequential_trace
-from .solver import (
-    _ALGORITHM_NAMES,
-    FrobeniusResult,
-    frobenius,
-    frobenius_descent,
-    frobenius_sequential,
-)
+
+if TYPE_CHECKING:
+    from .basis import Basis
+    from .solver import FrobeniusResult
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,7 +77,9 @@ def _gather_basis(args: argparse.Namespace) -> Basis:
         raw = args.elements
     if not raw:
         raise InvalidInputError("no basis elements given")
-    return normalize_basis(raw)
+    from . import basis
+
+    return basis.normalize_basis(raw)
 
 
 def _check_answer(basis: Basis, res: FrobeniusResult) -> tuple[str, int]:
@@ -94,22 +91,26 @@ def _check_answer(basis: Basis, res: FrobeniusResult) -> tuple[str, int]:
     a "residue" answer is the table's, and the sieve's error stands.  The
     answer under check only picks the checker, never its result.
     """
+    from . import oracle, residue, solver
+
     if res.algorithm == "oracle":
-        return "residue table", frobenius(basis, "residue").value
+        return "residue table", solver.frobenius(basis, "residue").value
     from_table = res.algorithm == "residue" and basis.n >= 4
-    if from_table or res.value + basis.elements[0] <= DEFAULT_LIMIT_CAP:
+    if from_table or res.value + basis.elements[0] <= oracle.DEFAULT_LIMIT_CAP:
         try:
-            return "sieve", frobenius_oracle(basis)
+            return "sieve", oracle.frobenius_oracle(basis)
         except ResourceLimitError:
             if from_table:
                 raise
-    return "residue table", residue_table(basis).frobenius
+    return "residue table", residue.residue_table(basis).frobenius
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    from . import solver
+
     basis = _gather_basis(args)
     t0 = time.perf_counter()
-    res = frobenius(basis, args.algorithm)
+    res = solver.frobenius(basis, args.algorithm)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     verified = False
     if args.check:
@@ -140,15 +141,18 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import oracle, randgen, solver
+
     if args.count < 1:
         raise InvalidInputError(f"--count must be >= 1, got {args.count}")
     agreements = 0
     disagreements = 0
-    for basis in random_bases(args.seed, args.count, max_element=args.max, max_arity=args.arity):
-        d = frobenius_descent(basis).value
-        s = frobenius_sequential(basis).value
-        o = frobenius_oracle(basis)
-        r = frobenius(basis, "residue").value
+    bases = randgen.random_bases(args.seed, args.count, max_element=args.max, max_arity=args.arity)
+    for basis in bases:
+        d = solver.frobenius_descent(basis).value
+        s = solver.frobenius_sequential(basis).value
+        o = oracle.frobenius_oracle(basis)
+        r = solver.frobenius(basis, "residue").value
         agree = d == s == o == r
         if agree:
             agreements += 1
@@ -191,14 +195,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
+    from . import oracle, reference, solver
+    from .basis import Basis
+
     worst = 0
-    for idx, (elements, expected) in enumerate(REFERENCE_CASES, start=1):
+    for idx, (elements, expected) in enumerate(reference.REFERENCE_CASES, start=1):
         basis = Basis(elements)
         t0 = time.perf_counter()
-        res = frobenius_descent(basis)
+        res = solver.frobenius_descent(basis)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        other = frobenius_oracle(basis)
-        residue = frobenius(basis, "residue").value
+        other = oracle.frobenius_oracle(basis)
+        residue = solver.frobenius(basis, "residue").value
         if not res.value == other == residue:
             status = "disagreement"
             worst = 2
@@ -231,8 +238,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from . import bounds
+
     basis = _gather_basis(args)
-    report: BoundReport = bound_report(basis)
+    report = bounds.bound_report(basis)
     if args.json:
         print(
             json.dumps(
@@ -273,8 +282,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_hasrep(args: argparse.Namespace) -> int:
+    from . import representability
+
     basis = _gather_basis(args)
-    witness = find_witness(args.target, basis)
+    witness = representability.find_witness(args.target, basis)
     representable = witness is not None
     if args.json:
         print(
@@ -295,8 +306,10 @@ def cmd_hasrep(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from . import sequential
+
     basis = _gather_basis(args)
-    tr = sequential_trace(basis)
+    tr = sequential.sequential_trace(basis)
     if args.json:
         print(
             json.dumps(
@@ -318,6 +331,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and reused by every main() call."""
+    from . import solver
+
     parser = _Parser(prog="frobenius", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -325,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_element_args(p)
     p.add_argument(
         "--algorithm",
-        choices=_ALGORITHM_NAMES,
+        choices=solver._ALGORITHM_NAMES,
         default=None,
         help="residues mod a1 (Rødseth's formula for three generators, else the residue"
         " table), the paper's descent scan, the grown sieve table, or the indicator scan;"

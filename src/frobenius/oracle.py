@@ -182,13 +182,18 @@ def _grown_table(basis: Basis, *, budget: int | None = None) -> Representability
 def prefix_table(basis: Basis) -> ResidueTable:
     """Each prefix's Frobenius number and each generator's redundancy.
 
-    On four or more generators both are read off one ascending sieve
-    whose limit shrinks with the prefix Frobenius numbers (the window
-    facts are derived in the bounds module docstring), when _pass_cost
-    projects it within the residue table's budget.  Otherwise, and on two
-    or three generators, they come from the residue table, which raises
+    For a pair both come from its closed form: F = a1*a2 - a1 - a2, and
+    a2 is redundant exactly when a1 = 1, since the pair is coprime.  On
+    four or more generators both are read off one ascending sieve whose
+    limit shrinks with the prefix Frobenius numbers (the window facts
+    are derived in the bounds module docstring), when _pass_cost
+    projects it within the residue table's budget.  Otherwise, and on
+    three generators, they come from the residue table, which raises
     ResourceLimitError over its caps.
     """
+    if basis.n == 2:
+        a1, a2 = basis.elements
+        return ResidueTable((a1 * a2 - a1 - a2,), (False, a1 == 1))
     table = _shrinking_sieve(basis) if basis.n >= 4 else None
     return residue_table(basis) if table is None else table
 

@@ -87,23 +87,28 @@ it refuses, such as R = 666666666666665666666666666666 over
 {10**15 + 3, 10**15 + 4, 2*10**15 + 5}, would otherwise try about 3*10**14
 remainders.
 
-All arithmetic is int / fractions.Fraction; floats never appear.
+All arithmetic is int / fractions.Fraction; floats never appear.  Only
+the paper's exact objects (f_indicator, h_two, h_general) build
+Fractions, and they import fractions when called: the scans and the
+zero test never need it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappop, heapreplace
 from math import floor, gcd
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from . import oracle
 from .basis import Basis, scan_upper_bound
 from .errors import InvalidInputError, ResourceLimitError
 from .representability import SEARCH_CAP
 from .residue import RESIDUE_CAP
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 TRACE_CAP = 2**17
 """Largest scan bound U that sequential_trace tabulates: 131072 entries.
@@ -139,6 +144,8 @@ def f_indicator(alpha: int, R: int) -> int:
     q = R // alpha
     if q == 0:
         return -1
+    from fractions import Fraction
+
     return floor(Fraction(alpha, R) - Fraction(1, q))
 
 
@@ -169,6 +176,8 @@ def h_two(R: int, b1: int, b2: int) -> Fraction:
         raise InvalidInputError(f"need 0 < b1 < b2, got {b1}, {b2}")
     if R // b2 >= SEARCH_CAP:
         raise ResourceLimitError(f"h({R}) exceeds {SEARCH_CAP} steps")
+    from fractions import Fraction
+
     return Fraction(_h_two_product(R, b1, b2))
 
 
@@ -227,6 +236,8 @@ def h_general(R: int, basis: Basis) -> Fraction:
             if prod == 0:
                 return prod
         return prod
+
+    from fractions import Fraction
 
     return Fraction(value(R, basis.elements))
 

@@ -41,6 +41,9 @@ bases (the table's cost grows with n, the sieve's mostly with F) take
 the sieve, and few large generators, whose F grows like a1^(n/(n-1)),
 take the table.  The result is tagged by what ran: "oracle" for the
 sieve, "residue" for the table.
+
+The scans' modules (representability, sequential) are imported by the
+two scan solvers when they run, so the default path does not load them.
 """
 
 from __future__ import annotations
@@ -51,9 +54,7 @@ from .basis import Basis, scan_upper_bound
 from .closed_forms import frobenius_three
 from .errors import InvalidInputError
 from .oracle import _grown_table, _table_budget, frobenius_oracle
-from .representability import _searcher
 from .residue import residue_table
-from .sequential import _descend, _zero_test
 
 ALGORITHM_TAGS = ("residue", "paper-descent", "oracle", "sequential", "closed-form")
 
@@ -104,14 +105,16 @@ def frobenius_descent(basis: Basis) -> FrobeniusResult:
     min(a1, U - a1) entries, and counts the candidates it passes over as
     scanned.
     """
+    from . import representability, sequential
+
     a1 = basis.elements[0]
-    search = _searcher(basis)
+    search = representability._searcher(basis)
 
     def proof(a: int) -> int:
         coeffs = search(a)
         return -1 if coeffs is None else coeffs[0]
 
-    upper, value, scanned = _descend(basis, a1 + 1, proof)
+    upper, value, scanned = sequential._descend(basis, a1 + 1, proof)
     if upper < 1:
         return FrobeniusResult(-1, upper, 0, "paper-descent")
     return FrobeniusResult(a1 - 1 if value is None else value, upper, scanned, "paper-descent")
@@ -122,7 +125,9 @@ def frobenius_sequential(basis: Basis) -> FrobeniusResult:
 
     Runs delta_scan's walk directly, which also returns its scan bound.
     """
-    upper, value, scanned = _descend(basis, 1, _zero_test(basis))
+    from . import sequential
+
+    upper, value, scanned = sequential._descend(basis, 1, sequential._zero_test(basis))
     if upper < 1:
         return FrobeniusResult(-1, upper, 0, "sequential")
     return FrobeniusResult(value, upper, scanned, "sequential")

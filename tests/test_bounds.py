@@ -8,7 +8,7 @@ from math import gcd
 from time import perf_counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import frobenius.oracle
@@ -247,10 +247,39 @@ def test_prefix_table_by_the_sieve_on_window_edges(es, chain, redundant):
     ]
 
 
+# A pair's table comes from its closed form (tested below); the residue
+# table stays its reference here.
 @pytest.mark.parametrize("es", [(3, 5), (1, 4), (6, 10, 15), (1, 5, 7), (4, 81, 104)])
 def test_prefix_table_takes_the_residue_table_below_four_generators(es):
     basis = Basis(es)
     assert prefix_table(basis) == residue_table(basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(2, 90))
+@example(1, 2)
+@example(1, 7)
+def test_a_pairs_prefix_table_is_its_closed_form(a1, a2):
+    assume(a1 < a2 and gcd(a1, a2) == 1)
+    basis = Basis((a1, a2))
+    table = prefix_table(basis)
+    assert table == residue_table(basis)
+    assert table.chain == (brute_frobenius((a1, a2)),)
+    assert table.redundant == (False, brute_representable(a2, (a1,)))
+
+
+def test_bounds_on_a_pair_over_the_table_cap_reads_the_closed_form(monkeypatch):
+    # a1 is over RESIDUE_CAP, where the residue table is refused; the
+    # pair's chain and independence need no table at all.
+    def refused(basis):
+        raise ResourceLimitError("no table for a pair")
+
+    monkeypatch.setattr("frobenius.oracle.residue_table", refused)
+    b = Basis((16777259, 16777289))
+    r = bound_report(b)
+    assert r.chain == (frobenius_two(*b.elements),) == (281476889316303,)
+    assert not r.selmer_vacuous and r.beck_vacuous
+    assert is_independent(b) and not is_independent(Basis((1, 16777289)))
 
 
 def test_each_generator_is_sieved_within_the_last_prefix_window(monkeypatch):

@@ -159,7 +159,7 @@ def test_verify_disagreement_exits_2(capsys, monkeypatch):
     def wrong(basis):
         return FrobeniusResult(0, 10**9, 0, "sequential")
 
-    monkeypatch.setattr("frobenius.cli.frobenius_sequential", wrong)
+    monkeypatch.setattr("frobenius.solver.frobenius_sequential", wrong)
     code, out, _ = run_cli(["verify", "--count", "1", "--seed", "3"], capsys)
     assert code == 2
     assert "DISAGREE" in out
@@ -169,7 +169,7 @@ def test_verify_and_table1_check_the_default_solver(capsys, monkeypatch):
     def wrong(basis, algorithm="residue"):
         return FrobeniusResult(0, 10**9, 0, "residue")
 
-    monkeypatch.setattr("frobenius.cli.frobenius", wrong)
+    monkeypatch.setattr("frobenius.solver.frobenius", wrong)
     code, out, _ = run_cli(["verify", "--count", "1", "--seed", "3", "--json"], capsys)
     assert code == 2
     row = json.loads(out.splitlines()[0])
@@ -192,7 +192,7 @@ def test_cross_checks_run_the_residue_table_by_name(capsys, monkeypatch):
         asked.append(algorithm)
         return frobenius(basis, algorithm)
 
-    monkeypatch.setattr("frobenius.cli.frobenius", spy)
+    monkeypatch.setattr("frobenius.solver.frobenius", spy)
     assert run_cli(["verify", "--count", "5", "--seed", "3", "--json"], capsys)[0] == 0
     assert run_cli(["table1", "--json"], capsys)[0] == 0
     assert asked and set(asked) == {"residue"}
@@ -212,7 +212,7 @@ def test_compute_check_of_a_sieve_answer_uses_the_table(capsys, monkeypatch):
 
 
 def test_compute_check_disagreement_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr("frobenius.cli.frobenius_oracle", lambda basis: -1)
+    monkeypatch.setattr("frobenius.oracle.frobenius_oracle", lambda basis: -1)
     code, _, err = run_cli(["compute", "7", "11", "13", "--check"], capsys)
     assert code == 2
     assert "internal disagreement" in err
@@ -231,7 +231,7 @@ def test_compute_check_never_checks_the_table_with_itself(capsys, monkeypatch):
     def refused(basis):
         raise ResourceLimitError("limit exceeds cap")
 
-    monkeypatch.setattr("frobenius.cli.frobenius_oracle", refused)
+    monkeypatch.setattr("frobenius.oracle.frobenius_oracle", refused)
     for algo in ("residue", "paper", "sequential"):
         argv = ["compute", "--algorithm", algo, "--check", "--json", "7", "11", "13"]
         code, out, _ = run_cli(argv, capsys)
@@ -261,7 +261,7 @@ def test_table1_all_rows_ok(capsys):
 def test_table1_reference_mismatch_exits_0(capsys, monkeypatch):
     # A wrong published value is reported, not treated as a disagreement
     # between the solvers.
-    monkeypatch.setattr("frobenius.cli.REFERENCE_CASES", (((7, 11, 13), 31),))
+    monkeypatch.setattr("frobenius.reference.REFERENCE_CASES", (((7, 11, 13), 31),))
     code, out, _ = run_cli(["table1", "--json"], capsys)
     assert code == 0
     row = json.loads(out)

@@ -360,7 +360,7 @@ def _walks(basis):
         basis, a1 + 1, lambda x: -1 if (coeffs := search(x)) is None else coeffs[0])
     descent = (-1, 0) if basis.contains_one else (a1 - 1 if value is None else value, scanned)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("frobenius.solver._searcher", _recording(_searcher, tests))
+        mp.setattr("frobenius.representability._searcher", _recording(_searcher, tests))
         r = frobenius_descent(basis)
     assert (r.value, r.candidates_scanned) == descent
     assert tests == ref_tests
