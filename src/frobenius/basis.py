@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd
+from operator import lt
 from typing import Iterable, Iterator
 
 from .errors import ArityError, InvalidElementError, InvalidInputError, NonCoprimeError
@@ -32,26 +33,40 @@ class Basis:
     """Strictly increasing coprime generators.
 
     The constructor enforces every invariant; use normalize_basis to build
-    one from unsorted or duplicated raw input.
+    one from unsorted or duplicated raw input.  A tuple of plain ints is
+    accepted in bulk, by one type scan, one pairwise comparison and one
+    gcd, each a single pass in C, so a wide basis costs no interpreter
+    step per generator.  Any other input, one that fails a check included,
+    is checked one element at a time, and the first fault raises, in this
+    order: an element that is not a positive int (bool excluded), fewer
+    than two elements, an element not above the one before, gcd above 1.
     """
 
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for v in self.elements:
+        es = self.elements
+        if (
+            type(es) is tuple
+            and len(es) >= 2
+            and {*map(type, es)} == {int}
+            and es[0] >= 1
+            and all(map(lt, es, es[1:]))
+            and gcd(*es) == 1
+        ):
+            return
+        for v in es:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise InvalidElementError(f"basis elements must be positive integers, got {v!r}")
-        if len(self.elements) < 2:
-            raise ArityError(f"need at least two distinct elements, got {len(self.elements)}")
-        for a, b in zip(self.elements, self.elements[1:]):
+        if len(es) < 2:
+            raise ArityError(f"need at least two distinct elements, got {len(es)}")
+        for a, b in zip(es, es[1:]):
             if a >= b:
                 raise InvalidElementError(
                     f"elements must be strictly increasing, got {a} before {b}"
                 )
-        if gcd_all(self.elements) != 1:
-            raise NonCoprimeError(
-                f"gcd of {list(self.elements)} is {gcd_all(self.elements)}, must be 1"
-            )
+        if gcd_all(es) != 1:
+            raise NonCoprimeError(f"gcd of {list(es)} is {gcd_all(es)}, must be 1")
 
     @property
     def n(self) -> int:

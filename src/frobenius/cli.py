@@ -16,6 +16,10 @@ so identical seeds give byte-identical output.
 Input files (--file) hold integers separated by whitespace, newlines, or
 commas; everything after # on a line is a comment.
 
+Element lists are converted to ints in one pass, not one interpreter
+call per token (see _Parser); argparse still looks at each token once to
+tell options from positionals.
+
 Only the standard library and the errors module are imported with this
 module.  Each subcommand imports the modules it runs when it runs, and
 the parser imports the solver's algorithm names when it is first built,
@@ -39,11 +43,37 @@ if TYPE_CHECKING:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad usage; 2 is reserved here, so remap to 1."""
+    """argparse with exit code 1 for bad usage, and wide element lists converted in bulk.
+
+    argparse exits with 2 on bad usage; 2 is reserved here, so remap to 1.
+    argparse converts and checks each token of a list argument with its
+    own interpreter calls, and the subcommand's tokens pass through the
+    top-level parser that way before the subparser converts them again.
+    Here the subcommand's tokens pass through as one list, and an int list
+    positional is converted by one map(int, ...).  Anything that needs
+    argparse's own handling goes to it, so every message and exit code is
+    argparse's: a "--" among the tokens, a token that int() rejects, or
+    an argument with choices.  _get_values is argparse's private
+    conversion step; tests/test_cli_parity.py pins the answers, and
+    tools/cli_parity.py compares them across interpreters.
+    """
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def _get_values(self, action: argparse.Action, arg_strings: list[str]) -> object:
+        if arg_strings and "--" not in arg_strings:
+            if action.nargs == argparse.PARSER and action.type is None:
+                self._check_value(action, arg_strings[0])  # the subcommand's name
+                return list(arg_strings)
+            int_list = action.nargs == argparse.ZERO_OR_MORE and action.type is int
+            if int_list and action.choices is None:
+                try:
+                    return list(map(int, arg_strings))
+                except ValueError:
+                    pass  # argparse names the token
+        return super()._get_values(action, arg_strings)
 
 
 def parse_int_stream(text: str) -> list[int]:
@@ -246,7 +276,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         print(
             json.dumps(
                 {
-                    "basis": list(basis.elements),
+                    "basis": basis.elements,
                     "erdos_graham": report.erdos_graham,
                     "selmer": report.selmer,
                     "selmer_vacuous": report.selmer_vacuous,
@@ -254,7 +284,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                     "vitek_vacuous": report.vitek_vacuous,
                     "beck": None if report.beck is None else str(report.beck),
                     "beck_vacuous": report.beck_vacuous,
-                    "chain": None if report.chain is None else list(report.chain),
+                    "chain": report.chain,
                     "tightest": report.tightest,
                 }
             )

@@ -160,10 +160,19 @@ def _grown_table(basis: Basis, *, budget: int | None = None) -> Representability
     With a budget (in _pass_cost words), returns None instead of starting
     a pass that would take the words spent so far past the budget, or the
     limit past DEFAULT_LIMIT_CAP.  Without one, a pass over
-    DEFAULT_LIMIT_CAP bits raises ResourceLimitError.
+    DEFAULT_LIMIT_CAP bits raises ResourceLimitError; on three generators
+    whose F + a1 (Rødseth's formula) is over the cap, it raises before
+    the first pass, since no pass below the cap could end in a1 set bits.
+    Rødseth's F only decides the refusal; an answer always comes from
+    the table.
     """
     a1 = basis.elements[0]
     top = scan_upper_bound(basis) + a1
+    if budget is None and basis.n == 3 and top > DEFAULT_LIMIT_CAP:
+        # No pass can prove an F + a1 over the cap; Rødseth's F says so at once.
+        need = frobenius_three(*basis.elements) + a1
+        if need > DEFAULT_LIMIT_CAP:
+            raise ResourceLimitError(f"limit {need} exceeds cap {DEFAULT_LIMIT_CAP}")
     limit = min(top, _FIRST_LIMIT)
     if limit < top:
         limit = min(top, max(limit, _least_window_end(basis)))
@@ -205,10 +214,14 @@ def _shrinking_sieve(basis: Basis) -> ResidueTable | None:
     generators with gcd 1, whose F comes from Rødseth's formula when m is
     3 and otherwise from a budgeted grown table.  Not two: the pair's F
     is about a1 * a2, far above F_3 on wide bases (10^10 against 10^7 at
-    a1 = 10^5 with 200 generators).  Each generator that is neither above
-    the limit nor already marked is sieved in; from prefix m + 1 on, the
-    highest hole is then that prefix's F and the limit is cut to it plus
-    a1.  The pair's entry comes from its closed form.
+    a1 = 10^5 with 200 generators).  Each generator that is not already
+    marked is sieved in; from prefix m + 1 on, the highest hole is then
+    that prefix's F and the limit is cut to it plus a1.  The loop stops at
+    the first generator above the limit: the limit never grows and the
+    generators ascend, so every later one lies above it too.  Each of them
+    is redundant and leaves F where it is, so their redundancy flags and
+    chain entries are filled in at once.  The pair's entry comes from its
+    closed form.
     """
     es = basis.elements
     a1, a2 = es[0], es[1]
@@ -233,7 +246,12 @@ def _shrinking_sieve(basis: Basis) -> ResidueTable | None:
     chain += [None] * (m - 3)
     redundant = [False]
     for k, e in enumerate(es[1:], 2):
-        skip = e > limit or bool(bits >> e & 1)
+        if e > limit:  # and so is every later generator: each is redundant, F stays
+            rest = len(es) + 1 - k
+            redundant += [True] * rest
+            chain += [f] * (rest - max(0, m - k))  # prefixes below m hold None already
+            break
+        skip = bool(bits >> e & 1)
         redundant.append(skip)
         if not skip:
             bits = _close(bits, e, mask)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from enum import IntEnum
+
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobenius import (
@@ -116,3 +118,54 @@ def test_witness_rejects_negative_and_misaligned():
         RepresentationWitness(basis=b, coefficients=(-1, 2), target=7)
     with pytest.raises(InvalidInputError):
         RepresentationWitness(basis=b, coefficients=(1, 1, 1), target=8)
+
+
+class Small(IntEnum):
+    TWO = 2
+    THREE = 3
+    FIVE = 5
+
+
+def _checked_one_by_one(elements):
+    """The constructor's checks element by element, in their documented order."""
+    for v in elements:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            return InvalidElementError, f"basis elements must be positive integers, got {v!r}"
+    if len(elements) < 2:
+        return ArityError, f"need at least two distinct elements, got {len(elements)}"
+    for a, b in zip(elements, elements[1:]):
+        if a >= b:
+            return InvalidElementError, f"elements must be strictly increasing, got {a} before {b}"
+    if gcd_all(elements) != 1:
+        return NonCoprimeError, f"gcd of {list(elements)} is {gcd_all(elements)}, must be 1"
+    return None
+
+
+_element = st.one_of(
+    st.integers(-3, 60),
+    st.integers(-3, 60),
+    st.integers(1, 10**30),
+    st.booleans(),
+    st.sampled_from(list(Small)),
+    st.floats(-2, 60, allow_nan=False),
+)
+_raw = st.lists(_element, max_size=8)
+
+
+@settings(max_examples=400)
+@given(st.one_of(
+    _raw.map(tuple),
+    _raw,  # a list is checked, not converted
+    _raw.map(lambda xs: tuple(sorted(set(xs)))),  # sorted, so later checks are reached
+    st.sets(st.integers(1, 40), max_size=6).map(lambda xs: tuple(sorted(2 * x for x in xs))),
+    st.sets(st.integers(1, 90), max_size=6).map(lambda xs: tuple(sorted(xs))),
+    st.lists(st.integers(1, 90), max_size=6).map(tuple),  # unsorted or duplicated
+))
+def test_bulk_validation_answers_as_the_checks_one_by_one(elements):
+    expected = _checked_one_by_one(elements)
+    if expected is None:
+        assert Basis(elements).elements is elements
+    else:
+        with pytest.raises(expected[0]) as info:
+            Basis(elements)
+        assert (type(info.value), str(info.value)) == expected

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from math import gcd
 from time import perf_counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -323,3 +324,39 @@ def test_bound_report_reaches_a1_near_1e5_with_200_generators():
     r = bound_report(basis)
     assert perf_counter() - t0 < 1.0  # the residue table takes 3 to 5 s
     assert r.chain == residue_table(basis).chain
+
+
+@st.composite
+def bases_with_a_tail_above_the_window(draw):
+    head = sorted(draw(st.sets(st.integers(1, 40), min_size=3, max_size=6)))
+    assume(gcd_all(head) == 1)
+    # Every generator above F + a1 of a coprime prefix is redundant.
+    window = max(residue_table(Basis(tuple(head))).frobenius + head[0], head[-1])
+    tail = draw(st.sets(st.integers(window + 1, window + 400), min_size=1, max_size=8))
+    return Basis(tuple(head) + tuple(sorted(tail)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bases_with_a_tail_above_the_window())
+@example(Basis((1, 4, 6, 9)))
+@example(Basis((3, 5, 7, 100, 101)))
+@example(Basis((6, 10, 15, 36, 41)))
+@example(Basis((6, 10, 14, 15, 17, 26, 40)))  # the first prefix with gcd 1 is the fourth
+def test_a_tail_above_the_window_is_redundant_and_unread(basis):
+    es = basis.elements
+    sieved = []
+    close = frobenius.oracle._close
+
+    def spy(bits, a, mask):
+        sieved.append(a)
+        return close(bits, a, mask)
+
+    with mock.patch.object(frobenius.oracle, "_close", spy):
+        table = _shrinking_sieve(basis)
+    assume(table is not None)
+    expected = residue_table(basis)
+    assert table == expected
+    f = next(c for c in reversed(expected.chain) if c is not None)
+    tail = [e for e in es[1:] if e > f + es[0]]
+    assert tail and all(expected.redundant[es.index(e)] for e in tail)
+    assert not set(sieved) & set(tail)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -152,6 +153,22 @@ def test_verify_json_output_is_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "5269323b6c20264e79a55ccd39186f26e98decb66bebdaae5dd815d6976265d0"
+    )
+
+
+def test_bounds_json_on_wide_bases_is_pinned(capsys):
+    # Seeded bases of 20 to 200 generators in [200, 2000], byte for byte:
+    # a change to the prefix sieve that alters any chain entry, vacuity
+    # flag or field changes this digest.
+    rng = random.Random(42)
+    out = []
+    for _ in range(24):
+        es = sorted(rng.sample(range(200, 2001), rng.randrange(20, 201)))
+        code, text, _ = run_cli(["bounds", "--json", *map(str, es)], capsys)
+        assert code == 0
+        out.append(text)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == (
+        "3fc626a123f8227a7a830a5dae91dc3077ef9fa45a4445e5167a2491852a3623"
     )
 
 

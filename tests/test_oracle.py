@@ -25,6 +25,9 @@ from frobenius import (
     scan_upper_bound,
     sieve,
 )
+from frobenius.cli import main
+from frobenius.closed_forms import frobenius_three
+from frobenius.oracle import _grown_table
 
 from conftest import brute_representable, brute_frobenius, reachable_sums
 
@@ -276,3 +279,32 @@ def test_gaps_read_the_whole_hole_mask_at_once():
     assert table.gaps() == holes
     assert perf_counter() - t0 < 0.5
     assert gaps(basis) == holes
+
+
+def test_a_triple_over_the_cap_is_refused_before_any_pass(capsys):
+    # F + a1 = 2,001,160,057 by Rødseth's formula; the doubling passes
+    # below the cap took 7-9 s and about 500 MiB before they gave up.
+    basis = Basis((100003, 100019, 100043))
+    t0 = perf_counter()
+    with pytest.raises(ResourceLimitError, match="limit 2001160057 exceeds cap"):
+        gaps(basis)
+    assert perf_counter() - t0 < 0.5
+    t0 = perf_counter()
+    code = main(["compute", "--algorithm", "oracle", *map(str, basis.elements)])
+    assert perf_counter() - t0 < 0.5
+    assert code == 1
+    assert "exceeds cap" in capsys.readouterr().err
+
+
+def test_a_triple_under_the_cap_by_f_is_still_sieved(monkeypatch):
+    # U + a1 is over the cap but the limit the table reaches is not: the
+    # table answers, and Rødseth's F decides only the refusal below F + a1.
+    basis = Basis((101, 103, 107))
+    need = frobenius_three(*basis.elements) + 101
+    reached = _grown_table(basis).limit
+    assert scan_upper_bound(basis) + 101 > reached >= need
+    monkeypatch.setattr("frobenius.oracle.DEFAULT_LIMIT_CAP", reached)
+    assert frobenius_oracle(basis) == residue_table(basis).frobenius == need - 101
+    monkeypatch.setattr("frobenius.oracle.DEFAULT_LIMIT_CAP", need - 1)
+    with pytest.raises(ResourceLimitError, match=f"limit {need} exceeds cap {need - 1}"):
+        frobenius_oracle(basis)
